@@ -334,5 +334,5 @@ let () =
   print_newline ();
   print_endline "=== experiment tables (paper reproduction) ===";
   List.iter
-    (fun (id, title, body) -> Printf.printf "== %s: %s ==\n%s\n" id title body)
+    (fun (id, title, body) -> Printf.printf "== %s: %s ==\n%s\n" id title (body ()))
     (Experiments.all ~seed:42 ())

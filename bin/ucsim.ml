@@ -11,445 +11,16 @@
      shrink       minimize a monitor-flagged journal to a smallest one
      soak         long-horizon run with streaming series and alert rules
      report       render a registry dump, or series sparklines (--series)
-     list         show available protocols and experiments *)
+     nemesis      randomized crash and partition campaign
+     bench        multicore engine run with the Proposition 4 differential
+     classify     classify a hand-written set history
+     list         show available protocols and experiments
 
-let experiment_ids =
-  [ "F1"; "F2"; "P1"; "P4"; "T6"; "T6b"; "C1"; "C2"; "C3"; "C4"; "C4b"; "T7"; "S1"; "C5"; "C6"; "A1"; "A2"; "A3" ]
+   The run description, its journal-header codec, the protocol table
+   and the sequential driver live in lib/run ({!Run_spec},
+   {!Run_driver}); the subcommands here parse flags and print. *)
 
-(* ------------------------------------------------------------------ *)
-(* Protocol registry for `run`: each named protocol is paired with its
-   object type and a driver that simulates a conflict workload on it.  *)
-(* ------------------------------------------------------------------ *)
-
-type run_params = {
-  protocol : string;  (* registry name, recorded in the journal header *)
-  seed : int;
-  n : int;
-  ops : int;
-  shards : int;
-      (* shard count for the sharded object space ("sharded" protocol);
-         1 everywhere else *)
-  keys : int;  (* key domain of the sharded workload *)
-  rebalance : float option;
-      (* hot-shard policy check interval; None = static ring *)
-  mean_delay : float;
-  fifo : bool;
-  crashes : (float * int) list;  (* (time, pid) crash schedule *)
-  check : bool;
-  spacetime : bool;
-  log_core : [ `List | `Array ];
-      (* op-log substrate for the universal protocols: the seed's cons
-         list or the array-backed Oplog (the default) *)
-  checkpoint_interval : int option;
-      (* override for Generic's interval-checkpoint cadence; only
-         meaningful with [log_core = `Array] *)
-  batch_window : float option;
-  obs_on : bool;
-  trace_out : string option;
-  registry_out : string option;
-  span_dump : bool;
-  probe_interval : float option;
-  partitions : Network.partition list;
-  churn : Network.churn_event list;
-  scripts : string list list option;
-      (* explicit per-process set scripts (printed ops) overriding the
-         generated workload — how a minimized journal from `shrink`
-         replays from the file alone *)
-  journal_out : string option;
-  journal : Obs.Journal.t option;
-      (* in-memory capture used by `replay` instead of a file *)
-  monitors : Obs.Monitor.criterion list;
-  obs : Obs.t option;
-      (* pre-built telemetry bundle. `soak` (and a soak replay) builds
-         it up front so the streaming sampler can snapshot its registry
-         every tick; everyone else leaves it None and lets
-         [obs_of_params] decide *)
-  sample_interval : float option;
-      (* soak sampler cadence in simulated time; Some marks the journal
-         header as a soak run *)
-  duration : float option;
-      (* soak horizon: overrides the runner deadline (simulated time) *)
-  rules : Obs.Alert.rule list;  (* soak alert rules, header-recorded *)
-  sampler : Obs.Series.sampler option;
-      (* pre-built streaming sampler, threaded into every runner config;
-         None (the default everywhere but `soak`) samples nothing *)
-}
-
-let log_core_name = function `List -> "list" | `Array -> "array"
-
-(* The journal's self-description: everything `replay` needs to rebuild
-   this run_params record and re-execute the identical schedule. *)
-let journal_header p =
-  let num i = Obs.Json.Num (float_of_int i) in
-  let opt f = function None -> Obs.Json.Null | Some v -> f v in
-  [
-    ("protocol", Obs.Json.Str p.protocol);
-    ("seed", num p.seed);
-    ("n", num p.n);
-    ("ops", num p.ops);
-    ("mean_delay", Obs.Json.Num p.mean_delay);
-    ("fifo", Obs.Json.Bool p.fifo);
-    ( "crashes",
-      Obs.Json.Arr
-        (List.map
-           (fun (time, pid) ->
-             Obs.Json.Obj [ ("t", Obs.Json.Num time); ("pid", num pid) ])
-           p.crashes) );
-    ("log_core", Obs.Json.Str (log_core_name p.log_core));
-    ("checkpoint_interval", opt num p.checkpoint_interval);
-    ("batch_window", opt (fun w -> Obs.Json.Num w) p.batch_window);
-    ("probe_interval", opt (fun w -> Obs.Json.Num w) p.probe_interval);
-    ( "monitors",
-      Obs.Json.Arr
-        (List.map
-           (fun c -> Obs.Json.Str (Obs.Monitor.criterion_name c))
-           p.monitors) );
-    ( "partitions",
-      Obs.Json.Arr
-        (List.map
-           (fun (pa : Network.partition) ->
-             Obs.Json.Obj
-               [
-                 ("from", Obs.Json.Num pa.Network.from_time);
-                 ("to", Obs.Json.Num pa.Network.to_time);
-                 ("group", Obs.Json.Arr (List.map num pa.Network.group));
-               ])
-           p.partitions) );
-    ( "churn",
-      Obs.Json.Arr
-        (List.map
-           (fun (ce : Network.churn_event) ->
-             Obs.Json.Obj
-               [
-                 ("t", Obs.Json.Num ce.Network.time);
-                 ("pid", num ce.Network.pid);
-                 ( "action",
-                   Obs.Json.Str (Network.churn_action_name ce.Network.action) );
-               ])
-           p.churn) );
-    ( "scripts",
-      opt
-        (fun ss ->
-          Obs.Json.Arr
-            (List.map
-               (fun s ->
-                 Obs.Json.Arr (List.map (fun op -> Obs.Json.Str op) s))
-               ss))
-        p.scripts );
-  ]
-  (* Shard fields appear only on sharded runs, so single-object journal
-     headers — and the seeded fingerprint pins over them — stay
-     byte-identical to the seed's. *)
-  @ (if p.shards > 1 then
-       [
-         ("shards", num p.shards);
-         ("keys", num p.keys);
-         ("rebalance", opt (fun w -> Obs.Json.Num w) p.rebalance);
-       ]
-     else [])
-  (* Soak fields likewise appear only on soak runs: `replay` rebuilds
-     the sampler and alert rules from them so a soak journal's Alert
-     events reproduce, while plain-run headers stay byte-identical. *)
-  @ (match p.sample_interval with
-    | None -> []
-    | Some dt ->
-      [
-        ("sample_interval", Obs.Json.Num dt);
-        ("duration", opt (fun d -> Obs.Json.Num d) p.duration);
-        ( "rules",
-          Obs.Json.Arr
-            (List.map
-               (fun r -> Obs.Json.Str (Obs.Alert.rule_to_string r))
-               p.rules) );
-      ])
-
-(* Inverse of [journal_header]: rebuild the run_params a journal was
-   recorded under, attaching [journal] as the replay's capture journal.
-   Raises [Failure] on a header that does not describe a run. *)
-let params_of_header ~journal header =
-  let get k = List.assoc_opt k header in
-  let missing k = failwith (Printf.sprintf "journal header: bad or missing field %S" k) in
-  let num k = match get k with Some (Obs.Json.Num f) -> f | _ -> missing k in
-  let int k = int_of_float (num k) in
-  let bool k = match get k with Some (Obs.Json.Bool b) -> b | _ -> missing k in
-  let str k = match get k with Some (Obs.Json.Str s) -> s | _ -> missing k in
-  let opt_num k =
-    match get k with
-    | Some (Obs.Json.Num f) -> Some f
-    | Some Obs.Json.Null | None -> None
-    | _ -> missing k
-  in
-  let log_core =
-    match str "log_core" with
-    | "list" -> `List
-    | "array" -> `Array
-    | s -> failwith (Printf.sprintf "journal header: unknown log core %S" s)
-  in
-  let monitors =
-    match get "monitors" with
-    | Some (Obs.Json.Arr xs) ->
-      List.map
-        (function
-          | Obs.Json.Str s -> (
-            match Obs.Monitor.criterion_of_name s with
-            | Some c -> c
-            | None -> failwith (Printf.sprintf "journal header: unknown criterion %S" s))
-          | _ -> missing "monitors")
-        xs
-    | None -> []
-    | _ -> missing "monitors"
-  in
-  let partitions =
-    match get "partitions" with
-    | Some (Obs.Json.Arr xs) ->
-      List.map
-        (function
-          | Obs.Json.Obj fields -> (
-            let fget k = List.assoc_opt k fields in
-            match (fget "from", fget "to", fget "group") with
-            | ( Some (Obs.Json.Num from_time),
-                Some (Obs.Json.Num to_time),
-                Some (Obs.Json.Arr group) ) ->
-              {
-                Network.from_time;
-                to_time;
-                group =
-                  List.map
-                    (function
-                      | Obs.Json.Num f -> int_of_float f
-                      | _ -> missing "partitions")
-                    group;
-              }
-            | _ -> missing "partitions")
-          | _ -> missing "partitions")
-        xs
-    | None -> []
-    | _ -> missing "partitions"
-  in
-  let crashes =
-    match get "crashes" with
-    | Some (Obs.Json.Arr xs) ->
-      List.map
-        (function
-          | Obs.Json.Obj fields -> (
-            let fget k = List.assoc_opt k fields in
-            match (fget "t", fget "pid") with
-            | Some (Obs.Json.Num time), Some (Obs.Json.Num pid) ->
-              (time, int_of_float pid)
-            | _ -> missing "crashes")
-          | _ -> missing "crashes")
-        xs
-    | None -> (
-      (* journals from before the explicit crash schedule carry the old
-         one-crash flag *)
-      match get "crash" with
-      | Some (Obs.Json.Bool true) -> [ (50.0, int "n" - 1) ]
-      | Some (Obs.Json.Bool false) | None -> []
-      | _ -> missing "crash")
-    | _ -> missing "crashes"
-  in
-  let churn =
-    match get "churn" with
-    | Some (Obs.Json.Arr xs) ->
-      List.map
-        (function
-          | Obs.Json.Obj fields -> (
-            let fget k = List.assoc_opt k fields in
-            match (fget "t", fget "pid", fget "action") with
-            | ( Some (Obs.Json.Num time),
-                Some (Obs.Json.Num pid),
-                Some (Obs.Json.Str a) ) -> (
-              match Network.churn_action_of_name a with
-              | Some action -> { Network.time; pid = int_of_float pid; action }
-              | None ->
-                failwith (Printf.sprintf "journal header: unknown churn action %S" a))
-            | _ -> missing "churn")
-          | _ -> missing "churn")
-        xs
-    | None -> []
-    | _ -> missing "churn"
-  in
-  let scripts =
-    match get "scripts" with
-    | Some (Obs.Json.Arr xs) ->
-      Some
-        (List.map
-           (function
-             | Obs.Json.Arr ops ->
-               List.map
-                 (function Obs.Json.Str s -> s | _ -> missing "scripts")
-                 ops
-             | _ -> missing "scripts")
-           xs)
-    | None | Some Obs.Json.Null -> None
-    | _ -> missing "scripts"
-  in
-  let rules =
-    match get "rules" with
-    | Some (Obs.Json.Arr xs) ->
-      List.map
-        (function
-          | Obs.Json.Str s -> (
-            match Obs.Alert.rule_of_string s with
-            | r -> r
-            | exception Invalid_argument msg -> failwith msg)
-          | _ -> missing "rules")
-        xs
-    | None -> []
-    | _ -> missing "rules"
-  in
-  let opt_int k = Option.map int_of_float (opt_num k) in
-  {
-    protocol = str "protocol";
-    seed = int "seed";
-    n = int "n";
-    ops = int "ops";
-    shards = Option.value ~default:1 (opt_int "shards");
-    keys = Option.value ~default:64 (opt_int "keys");
-    rebalance = opt_num "rebalance";
-    mean_delay = num "mean_delay";
-    fifo = bool "fifo";
-    crashes;
-    check = false;
-    spacetime = false;
-    log_core;
-    checkpoint_interval = Option.map int_of_float (opt_num "checkpoint_interval");
-    batch_window = opt_num "batch_window";
-    obs_on = false;
-    trace_out = None;
-    registry_out = None;
-    span_dump = false;
-    probe_interval = opt_num "probe_interval";
-    partitions;
-    churn;
-    scripts;
-    journal_out = None;
-    journal = Some journal;
-    monitors;
-    obs = None;
-    sample_interval = opt_num "sample_interval";
-    duration = opt_num "duration";
-    rules;
-    sampler = None;
-  }
-
-(* Telemetry is on as soon as any output that needs it was requested. *)
-let obs_of_params p =
-  match p.obs with
-  | Some o ->
-    (* Pre-built by `soak` (or a soak replay) so its sampler could take
-       the registry; only the header is still ours to stamp. *)
-    Option.iter (fun j -> Obs.Journal.set_header j (journal_header p)) o.Obs.journal;
-    Some o
-  | None ->
-  let journal =
-    if p.journal_out <> None || p.journal <> None then begin
-      let j =
-        match p.journal with Some j -> j | None -> Obs.Journal.create ()
-      in
-      Obs.Journal.set_header j (journal_header p);
-      Some j
-    end
-    else None
-  in
-  if
-    p.obs_on || p.trace_out <> None || p.registry_out <> None || p.span_dump
-    || p.probe_interval <> None || journal <> None || p.monitors <> []
-  then Some (Obs.create ?journal ())
-  else None
-
-let write_json file json =
-  let oc = open_out file in
-  output_string oc (Obs.Json.to_string ~pretty:true json);
-  output_char oc '\n';
-  close_out oc
-
-let trace_meta p =
-  let opt f = function None -> Obs.Json.Null | Some v -> f v in
-  [
-    ("seed", Obs.Json.Num (float_of_int p.seed));
-    ("replicas", Obs.Json.Num (float_of_int p.n));
-    ("protocol", Obs.Json.Str p.protocol);
-    ("log_core", Obs.Json.Str (log_core_name p.log_core));
-    ("batch_window", opt (fun w -> Obs.Json.Num w) p.batch_window);
-  ]
-
-let emit_obs p obs =
-  match obs with
-  | None -> ()
-  | Some (o : Obs.t) ->
-    (* Host-resource gauges, stamped once at dump time rather than
-       during the run: their values depend on allocator state, so
-       keeping them out of the library layer keeps its goldens stable.
-       (Stdlib.Gc — uc_core's Gc module shadows the runtime's here.) *)
-    let q = Stdlib.Gc.quick_stat () in
-    Obs.Registry.set
-      (Obs.Registry.gauge o.registry "gc_live_words")
-      (float_of_int q.Stdlib.Gc.live_words);
-    Obs.Registry.set
-      (Obs.Registry.gauge o.registry "gc_major_collections")
-      (float_of_int q.Stdlib.Gc.major_collections);
-    Obs.Registry.set
-      (Obs.Registry.gauge o.registry "gc_top_heap_words")
-      (float_of_int q.Stdlib.Gc.top_heap_words);
-    (match p.trace_out with
-    | Some file ->
-      write_json file
-        (Obs.Trace_export.to_json ~meta:(trace_meta p) ~replicas:p.n o.spans);
-      Printf.printf "trace written      %s (%d spans)\n" file
-        (Obs.Span.count o.spans)
-    | None -> ());
-    (match p.registry_out with
-    | Some file ->
-      write_json file (Obs.Registry.to_json o.registry);
-      Printf.printf "registry written   %s\n" file
-    | None -> ());
-    (match (o.journal, p.journal_out) with
-    | Some j, Some file ->
-      let oc = open_out file in
-      output_string oc (Obs.Journal.to_jsonl j);
-      close_out oc;
-      Printf.printf "journal written    %s (%d events)\n" file
-        (Obs.Journal.length j)
-    | _ -> ());
-    if p.span_dump then Format.printf "%a" Obs.Trace_export.pp_span_dump o.spans;
-    (match Obs.divergence_series o with
-    | [] -> ()
-    | series ->
-      Printf.printf "divergence series  %s\n"
-        (String.concat " "
-           (List.map (fun (t, d) -> Printf.sprintf "%.0f:%d" t d) series)));
-    Format.printf "telemetry:@.%a" Obs.Registry.pp o.registry
-
-(* One line per requested criterion, naming the first violating event's
-   journal index and span id — the index `replay --until` accepts. *)
-let print_monitor_report ~criteria ~events violations =
-  List.iter
-    (fun c ->
-      match
-        List.find_opt (fun v -> v.Obs.Monitor.criterion = c) violations
-      with
-      | Some v ->
-        Format.printf "monitor %-10s %a@."
-          (Obs.Monitor.criterion_name c)
-          Obs.Monitor.pp_violation v
-      | None ->
-        Printf.printf "monitor %-10s clean (%d events)\n"
-          (Obs.Monitor.criterion_name c)
-          events)
-    criteria
-
-(* [interval] is the instance's effective cadence, read back from the
-   functor instance after any --checkpoint-interval override. *)
-let describe_log_core ~interval = function
-  | `List -> "list"
-  | `Array -> Printf.sprintf "array (checkpoint interval %d)" interval
-
-let describe_metrics (m : Metrics.t) =
-  Printf.printf
-    "messages sent      %d\nbytes sent         %d\nupdates invoked    %d\nqueries invoked    %d\nops incomplete     %d\nreplay steps       %d\n"
-    m.Metrics.messages_sent m.Metrics.bytes_sent m.Metrics.updates_invoked
-    m.Metrics.queries_invoked m.Metrics.ops_incomplete m.Metrics.replay_steps
+open Cmdliner
 
 module type SET_PROTOCOL =
   Protocol.PROTOCOL
@@ -457,460 +28,50 @@ module type SET_PROTOCOL =
      and type query = Set_spec.query
      and type output = Set_spec.output
 
-(* The set drivers' workload: the explicit printed scripts when the
-   params carry them (a replayed `shrink` journal), the generated
-   conflict workload otherwise. *)
-let set_workload_of_params p =
-  match p.scripts with
-  | Some printed ->
-    if List.length printed <> p.n then
-      failwith
-        (Printf.sprintf "run: %d explicit scripts for n=%d processes"
-           (List.length printed) p.n);
-    Array.of_list
-      (List.map
-         (fun script ->
-           List.map
-             (fun tok ->
-               match Workload.For_set.parse_op tok with
-               | Some op -> op
-               | None -> failwith (Printf.sprintf "run: bad script op %S" tok))
-             script)
-         printed)
-  | None ->
-    let rng = Prng.create p.seed in
-    Workload.For_set.conflict ~rng ~n:p.n ~ops_per_process:p.ops ~domain:16
-      ~skew:1.0 ~delete_ratio:0.3
-
-let run_set ?note (module P : SET_PROTOCOL) p =
-  let module R = Runner.Make (P) in
-  let workload = set_workload_of_params p in
-  let obs = obs_of_params p in
-  let monitor =
-    if p.monitors = [] then None
-    else Some (R.Mon.create ~n:p.n ~criteria:p.monitors)
-  in
-  let base = R.default_config ~n:p.n ~seed:p.seed in
-  let config =
-    {
-      base with
-      R.delay = Network.Exponential { mean = p.mean_delay };
-      fifo = p.fifo;
-      partitions = p.partitions;
-      crashes = p.crashes;
-      churn = p.churn;
-      final_read = Some Set_spec.Read;
-      deadline = Option.value ~default:base.R.deadline p.duration;
-      trace = p.spacetime;
-      batch_window = p.batch_window;
-      obs;
-      probe_interval = p.probe_interval;
-      monitor;
-      sampler = p.sampler;
-    }
-  in
-  let r = R.run config ~workload in
-  (match r.R.trace with
-  | Some tr ->
-    (* Configuration notes sort to the top of the rendered chronology. *)
-    Option.iter (fun text -> Trace.record_note tr ~time:0.0 text) note;
-    print_string (Trace.render tr ~n:p.n)
-  | None -> ());
-  Printf.printf "protocol           %s (object: set)\n" P.protocol_name;
-  describe_metrics r.R.metrics;
-  Printf.printf "converged          %b\n" r.R.converged;
-  List.iter
-    (fun (pid, o) ->
-      Format.printf "final read p%d      %a@." pid Set_spec.pp_output o)
-    r.R.final_outputs;
-  if p.check then begin
-    let module C = Criteria.Make (Set_spec) in
-    Printf.printf "history UC         %b\nhistory EC         %b\n"
-      (C.holds Criteria.UC r.R.history)
-      (C.holds Criteria.EC r.R.history)
-  end;
-  Option.iter
-    (fun m ->
-      print_monitor_report ~criteria:p.monitors ~events:(R.Mon.events_seen m)
-        (R.Mon.violations m))
-    monitor;
-  emit_obs p obs
-
-let run_counter (module P : Protocol.PROTOCOL
-                  with type update = Counter_spec.update
-                   and type query = Counter_spec.query
-                   and type output = Counter_spec.output) p =
-  let module R = Runner.Make (P) in
-  let rng = Prng.create p.seed in
-  let workload =
-    Workload.For_counter.deposits_and_withdrawals ~rng ~n:p.n ~ops_per_process:p.ops
-      ~max_amount:100
-  in
-  let obs = obs_of_params p in
-  let monitor =
-    if p.monitors = [] then None
-    else Some (R.Mon.create ~n:p.n ~criteria:p.monitors)
-  in
-  let base = R.default_config ~n:p.n ~seed:p.seed in
-  let config =
-    {
-      base with
-      R.delay = Network.Exponential { mean = p.mean_delay };
-      fifo = p.fifo;
-      partitions = p.partitions;
-      churn = p.churn;
-      final_read = Some Counter_spec.Value;
-      deadline = Option.value ~default:base.R.deadline p.duration;
-      batch_window = p.batch_window;
-      obs;
-      probe_interval = p.probe_interval;
-      monitor;
-      sampler = p.sampler;
-    }
-  in
-  let r = R.run config ~workload in
-  Printf.printf "protocol           %s (object: counter)\n" P.protocol_name;
-  describe_metrics r.R.metrics;
-  Printf.printf "converged          %b\n" r.R.converged;
-  List.iter (fun (pid, o) -> Printf.printf "final read p%d      %d\n" pid o) r.R.final_outputs;
-  Option.iter
-    (fun m ->
-      print_monitor_report ~criteria:p.monitors ~events:(R.Mon.events_seen m)
-        (R.Mon.violations m))
-    monitor;
-  emit_obs p obs
-
-let run_register (module P : Protocol.PROTOCOL
-                   with type update = Register_spec.update
-                    and type query = Register_spec.query
-                    and type output = Register_spec.output) p =
-  let module R = Runner.Make (P) in
-  let rng = Prng.create p.seed in
-  let module G = Workload.Make (Register_spec) in
-  let workload = G.mixed ~rng ~n:p.n ~ops_per_process:p.ops ~query_ratio:0.4 in
-  let obs = obs_of_params p in
-  let monitor =
-    if p.monitors = [] then None
-    else Some (R.Mon.create ~n:p.n ~criteria:p.monitors)
-  in
-  let base = R.default_config ~n:p.n ~seed:p.seed in
-  let config =
-    {
-      base with
-      R.delay = Network.Exponential { mean = p.mean_delay };
-      fifo = p.fifo;
-      partitions = p.partitions;
-      churn = p.churn;
-      final_read = Some Register_spec.Read;
-      deadline = Option.value ~default:base.R.deadline p.duration;
-      batch_window = p.batch_window;
-      obs;
-      probe_interval = p.probe_interval;
-      monitor;
-      sampler = p.sampler;
-    }
-  in
-  let r = R.run config ~workload in
-  Printf.printf "protocol           %s (object: register)\n" P.protocol_name;
-  describe_metrics r.R.metrics;
-  Printf.printf "converged          %b\n" r.R.converged;
-  (match r.R.op_latencies with
-  | [] -> ()
-  | ls ->
-    let s = Stats.summarize ls in
-    Printf.printf "op latency         mean=%.2f p99=%.2f\n" s.Stats.mean s.Stats.p99);
-  List.iter (fun (pid, o) -> Printf.printf "final read p%d      %d\n" pid o) r.R.final_outputs;
-  Option.iter
-    (fun m ->
-      print_monitor_report ~criteria:p.monitors ~events:(R.Mon.events_seen m)
-        (R.Mon.violations m))
-    monitor;
-  emit_obs p obs
-
-let run_memory p =
-  let module R = Runner.Make (Lww_memory) in
-  let rng = Prng.create p.seed in
-  let workload =
-    Workload.For_memory.random_writes ~rng ~n:p.n ~ops_per_process:p.ops ~registers:8
-      ~read_ratio:0.4
-  in
-  let obs = obs_of_params p in
-  let monitor =
-    if p.monitors = [] then None
-    else Some (R.Mon.create ~n:p.n ~criteria:p.monitors)
-  in
-  let base = R.default_config ~n:p.n ~seed:p.seed in
-  let config =
-    {
-      base with
-      R.delay = Network.Exponential { mean = p.mean_delay };
-      partitions = p.partitions;
-      churn = p.churn;
-      final_read = Some (Memory_spec.Read 0);
-      deadline = Option.value ~default:base.R.deadline p.duration;
-      batch_window = p.batch_window;
-      obs;
-      probe_interval = p.probe_interval;
-      monitor;
-      sampler = p.sampler;
-    }
-  in
-  let r = R.run config ~workload in
-  Printf.printf "protocol           lww-memory (object: memory)\n";
-  describe_metrics r.R.metrics;
-  Printf.printf "converged          %b\n" r.R.converged;
-  Option.iter
-    (fun m ->
-      print_monitor_report ~criteria:p.monitors ~events:(R.Mon.events_seen m)
-        (R.Mon.violations m))
-    monitor;
-  emit_obs p obs
-
-(* The universal protocols are wrapped in {!Persist.Catchup} so a
-   joining or rejoining replica really absorbs a donor snapshot (the
-   bare functors carry the PROTOCOL stub [snapshot]/[absorb]). *)
 module Uni_set_core = Generic.Make (Set_spec)
 module Uni_set = Persist.Catchup (Uni_set_core) (Update_codec.For_set)
-module Uni_list =
-  Persist.Catchup (Generic_ref.Make (Set_spec)) (Update_codec.For_set)
-module Memo_set = Memo.Make (Set_spec)
-module Gc_set = Gc.Make (Set_spec)
-module Undo_set = Undo.Make (Undoable.Set)
-module Pipe_set = Pipelined.Make (Set_spec)
 module Uni_counter_core = Generic.Make (Counter_spec)
 module Uni_counter = Persist.Catchup (Uni_counter_core) (Update_codec.For_counter)
-module Fast_counter = Commutative.Make (Counter_spec)
-module Uni_reg =
-  Persist.Catchup (Generic.Make (Register_spec)) (Update_codec.For_register)
-module Sharded_set = Space.Make (Set_spec) (Update_codec.For_set)
 
-(* The sharded object space on the set: one Algorithm 1 core per shard
-   behind a consistent-hash ring, fed a Zipf-skewed multi-key stream.
-   --shards 1 degenerates to a single core holding every key;
-   --rebalance arms the hot-shard split policy. *)
-let sharded_workload p =
-  let rng = Prng.create p.seed in
-  let elem = Zipf.create ~n:16 ~s:1.0 in
-  Workload.For_space.zipf_scripts ~rng ~n:p.n ~ops_per_process:p.ops
-    ~keys:p.keys ~skew:1.1 ~fanout:3 ~query_ratio:0.25
-    ~update:(fun g ->
-      let v = Zipf.sample elem g in
-      if Prng.float g 1.0 < 0.3 then Set_spec.Delete v else Set_spec.Insert v)
-    ~query:(fun _ -> Set_spec.Read)
-    ~read:(fun k q -> Sharded_set.K.Read (k, q))
+(* A valued flag with a default, and a boolean flag. *)
+let opt_arg c name docv default doc =
+  Arg.(value & opt c default & info [ name ] ~docv ~doc)
 
-let run_sharded p =
-  let module R = Runner.Make (Sharded_set) in
-  let obs = obs_of_params p in
-  let policy =
-    Option.map
-      (fun interval ->
-        (* 1.5 keeps the trigger reachable at small shard counts: with
-           two shards the hottest can never exceed 2x the mean, so a
-           factor of 2 would never fire. *)
-        { Sharded_set.interval; hot_factor = 1.5; max_shards = 64 })
-      p.rebalance
-  in
-  let map = Sharded_set.create_map ?policy ?obs ~shards:p.shards () in
-  Sharded_set.configure map;
-  (* Soak runs also watch the ring: cumulative and per-tick op rates
-     for every shard, so a hot-shard split shows up in the series. *)
-  Option.iter
-    (fun s -> Obs.Series.add_probe s (Sharded_set.series_probe map))
-    p.sampler;
-  let workload = sharded_workload p in
-  let monitor =
-    if p.monitors = [] then None
-    else Some (R.Mon.create ~n:p.n ~criteria:p.monitors)
-  in
-  let base = R.default_config ~n:p.n ~seed:p.seed in
-  let config =
-    {
-      base with
-      R.delay = Network.Exponential { mean = p.mean_delay };
-      fifo = p.fifo;
-      partitions = p.partitions;
-      crashes = p.crashes;
-      churn = p.churn;
-      final_read = Some Sharded_set.K.Sweep;
-      deadline = Option.value ~default:base.R.deadline p.duration;
-      batch_window = p.batch_window;
-      obs;
-      probe_interval = p.probe_interval;
-      monitor;
-      sampler = p.sampler;
-    }
-  in
-  let r = R.run config ~workload in
-  Printf.printf "protocol           %s (object: %s)\n"
-    Sharded_set.protocol_name Sharded_set.name;
-  Printf.printf "shards             %d initial, %d final (%d rebalances, %d \
-                 entries re-homed)\n"
-    p.shards
-    (Ring.shards (Sharded_set.ring map))
-    (Sharded_set.rebalances map)
-    (Sharded_set.moved_entries map);
-  Printf.printf "shard ops          %s\n"
-    (String.concat " "
-       (List.map
-          (fun (s, ops) -> Printf.sprintf "s%d:%d" s ops)
-          (Sharded_set.shard_ops map)));
-  describe_metrics r.R.metrics;
-  Printf.printf "converged          %b\n" r.R.converged;
-  List.iter
-    (fun (pid, o) ->
-      Format.printf "final read p%d      %a@." pid Sharded_set.pp_output o)
-    r.R.final_outputs;
-  Option.iter
-    (fun m ->
-      print_monitor_report ~criteria:p.monitors ~events:(R.Mon.events_seen m)
-        (R.Mon.violations m))
-    monitor;
-  emit_obs p obs
+let flag_arg name doc = Arg.(value & flag & info [ name ] ~doc)
+let seed_arg = Run_driver.seed_arg
 
-(* The set-object universal protocol, on whichever log core was asked
-   for. Both cores exchange byte-identical messages, so the same seed
-   replays the same schedule and only the query cost differs. *)
-let run_universal_set p =
-  let interval =
-    match p.checkpoint_interval with
-    | Some k ->
-      Uni_set_core.checkpoint_interval := k;
-      k
-    | None -> !Uni_set_core.checkpoint_interval
-  in
-  let core = describe_log_core ~interval p.log_core in
-  Printf.printf "log core           %s\n" core;
-  let note = "log core: " ^ core in
-  match p.log_core with
-  | `Array -> run_set ~note (module Uni_set) p
-  | `List -> run_set ~note (module Uni_list) p
+(* The positional protocol name among [protocols], universal by default. *)
+let protocol_arg protocols =
+  let names = List.map (fun (n, _) -> (n, n)) protocols in
+  Arg.(value & pos 0 (enum names) "universal" & info [] ~docv:"PROTOCOL")
 
-(* Algorithm 1 on any registered object: generic over the packed ADT
-   plus its wire codec, so every instance gets real churn catch-up. *)
-let run_universal_on (module A : Registry.SPEC) p =
-  let module G = Generic.Make (A) in
-  let module P =
-    (val (match p.log_core with
-         | `Array ->
-           Option.iter (fun k -> G.checkpoint_interval := k) p.checkpoint_interval;
-           (module Persist.Catchup (G) (A.Codec) : Generic.S
-             with type update = A.update
-              and type query = A.query
-              and type output = A.output
-              and type state = A.state)
-         | `List -> (module Persist.Catchup (Generic_ref.Make (A)) (A.Codec))))
-  in
-  let module R = Runner.Make (P) in
-  let rng = Prng.create p.seed in
-  let workload =
-    Array.init p.n (fun _ ->
-        List.init p.ops (fun _ ->
-            if Prng.int rng 4 = 0 then Protocol.Invoke_query (A.random_query rng)
-            else Protocol.Invoke_update (A.random_update rng)))
-  in
-  let obs = obs_of_params p in
-  let monitor =
-    if p.monitors = [] then None
-    else Some (R.Mon.create ~n:p.n ~criteria:p.monitors)
-  in
-  let base = R.default_config ~n:p.n ~seed:p.seed in
-  let config =
-    {
-      base with
-      R.delay = Network.Exponential { mean = p.mean_delay };
-      fifo = p.fifo;
-      partitions = p.partitions;
-      crashes = p.crashes;
-      churn = p.churn;
-      final_read = Some (A.random_query (Prng.create p.seed));
-      deadline = Option.value ~default:base.R.deadline p.duration;
-      batch_window = p.batch_window;
-      obs;
-      probe_interval = p.probe_interval;
-      monitor;
-      sampler = p.sampler;
-    }
-  in
-  let r = R.run config ~workload in
-  Printf.printf "protocol           universal (object: %s)\n" A.name;
-  Printf.printf "log core           %s\n"
-    (describe_log_core ~interval:!G.checkpoint_interval p.log_core);
-  describe_metrics r.R.metrics;
-  Printf.printf "converged          %b\n" r.R.converged;
-  List.iter
-    (fun (pid, o) -> Format.printf "final read p%d      %a@." pid A.pp_output o)
-    r.R.final_outputs;
-  Option.iter
-    (fun m ->
-      print_monitor_report ~criteria:p.monitors ~events:(R.Mon.events_seen m)
-        (R.Mon.violations m))
-    monitor;
-  emit_obs p obs
+let fail cmd msg =
+  Printf.eprintf "%s: %s\n" cmd msg;
+  exit 1
 
-let registry_protocols : (string * string * (run_params -> unit)) list =
-  List.map
-    (fun (name, spec) ->
-      ( "universal-" ^ name,
-        "Algorithm 1 on the " ^ name ^ " object",
-        run_universal_on spec ))
-    Registry.all_specs
+let read_file file =
+  let ic = open_in_bin file in
+  let s = really_input_string ic (in_channel_length ic) in
+  close_in ic;
+  s
 
-let protocols : (string * string * (run_params -> unit)) list =
-  registry_protocols
-  @ [
-    ("universal", "Algorithm 1 on the set", run_universal_set);
-    ("memo", "Algorithm 1 + snapshot cache, set", run_set (module Memo_set));
-    ("gc", "Algorithm 1 + stability GC, set (needs --fifo)", run_set (module Gc_set));
-    ("undo", "undo-based construction, set", run_set (module Undo_set));
-    ("pipelined", "naive FIFO apply-on-receive, set", run_set (module Pipe_set));
-    ("orset", "OR-set CRDT", run_set (module Orset_crdt));
-    ("2pset", "two-phase set CRDT", run_set (module Twopset_crdt.Protocol_impl));
-    ("lwwset", "LWW-element-set CRDT", run_set (module Lwwset_crdt));
-    ("pnset", "counting set CRDT", run_set (module Pnset_crdt));
-    ("counter", "Algorithm 1 on the counter", run_counter (module Uni_counter));
-    ("fastcounter", "CRDT fast path counter", run_counter (module Fast_counter));
-    ("pncounter", "PN-counter CRDT", run_counter (module Counters.Pncounter));
-    ("register", "Algorithm 1 on the register", run_register (module Uni_reg));
-    ("lwwreg", "LWW-register CRDT", run_register (module Registers.Lwwreg));
-    ("abd", "ABD linearizable register (baseline)", run_register (module Abd));
-    ("lwwmemory", "Algorithm 2 shared memory", run_memory);
-    ( "sharded",
-      "Algorithm 1 per shard behind a consistent-hash ring, set \
-       (--shards/--keys/--rebalance)",
-      run_sharded );
-  ]
+let write_file file contents =
+  let oc = open_out file in
+  output_string oc contents;
+  close_out oc
 
-(* ------------------------------------------------------------------ *)
-(* Commands                                                            *)
-(* ------------------------------------------------------------------ *)
+(* Parse a journal file, dying with a one-line diagnostic on anything
+   malformed or truncated — same contract as `report`. *)
+let load_journal ~cmd file =
+  match Obs.Journal.of_jsonl (read_file file) with
+  | exception (Obs.Journal.Parse_error msg | Failure msg) ->
+    fail cmd (file ^ ": " ^ msg)
+  | j -> j
 
-open Cmdliner
-
-(* `--monitor uc,ec,pc` — shared by `run` (and friends) and `bench`. *)
-let monitors_conv =
-  let parse s =
-    let parts = List.filter (fun x -> x <> "") (String.split_on_char ',' s) in
-    let rec go acc = function
-      | [] -> Ok (List.rev acc)
-      | x :: rest -> (
-        match Obs.Monitor.criterion_of_name x with
-        | Some c -> go (c :: acc) rest
-        | None ->
-          Error
-            (`Msg
-              (Printf.sprintf "unknown criterion %S (expected uc, ec or pc)" x)))
-    in
-    go [] parts
-  in
-  let print ppf cs =
-    Format.pp_print_string ppf
-      (String.concat "," (List.map Obs.Monitor.criterion_name cs))
-  in
-  Arg.conv (parse, print)
-
-let seed_arg =
-  Arg.(value & opt int 42 & info [ "seed" ] ~docv:"SEED" ~doc:"Root random seed.")
+let spec_of_journal ~cmd file recorded =
+  match Run_spec.of_header (Obs.Journal.header recorded) with
+  | Error msg -> fail cmd (file ^ ": " ^ msg)
+  | Ok spec -> spec
 
 let figures_cmd =
   let doc = "Print the Figure 1 classification matrix and the Figure 2 analysis." in
@@ -926,279 +87,88 @@ let experiments_cmd =
   let ids =
     Arg.(value & pos_all string [] & info [] ~docv:"ID" ~doc:"Experiment ids, e.g. C2 C4.")
   in
-  let markdown_arg =
-    Arg.(value & flag & info [ "markdown" ] ~doc:"Render GitHub-flavoured tables.")
-  in
+  let markdown_arg = flag_arg "markdown" "Render GitHub-flavoured tables." in
   let run seed markdown ids =
-    let wanted = if ids = [] then experiment_ids else ids in
-    let wanted = List.map String.uppercase_ascii wanted in
+    let wanted = List.map String.uppercase_ascii ids in
     List.iter
       (fun (id, title, body) ->
-        if List.mem (String.uppercase_ascii id) wanted then
-          if markdown then Printf.printf "## %s — %s\n\n%s\n" id title body
-          else Printf.printf "== %s: %s ==\n%s\n" id title body)
+        if wanted = [] || List.mem (String.uppercase_ascii id) wanted then
+          if markdown then
+            Printf.printf "## %s — %s\n\n%s\n" id title (body ())
+          else Printf.printf "== %s: %s ==\n%s\n" id title (body ()))
       (Experiments.all ~markdown ~seed ())
   in
   Cmd.v (Cmd.info "experiments" ~doc) Term.(const run $ seed_arg $ markdown_arg $ ids)
 
 let run_cmd =
   let doc = "Simulate one protocol on a generated conflict workload." in
-  let protocol =
-    Arg.(
-      required
-      & pos 0 (some (enum (List.map (fun (n, _, f) -> (n, (n, f))) protocols))) None
-      & info [] ~docv:"PROTOCOL" ~doc:"One of the names shown by `ucsim list`.")
+  let run (spec, outputs) =
+    match Run_driver.run ~outputs spec with
+    | Error msg -> fail "run" msg
+    | Ok _ -> ()
   in
-  let n_arg = Arg.(value & opt int 4 & info [ "n" ] ~docv:"N" ~doc:"Processes.") in
-  let ops_arg =
-    Arg.(value & opt int 100 & info [ "ops" ] ~docv:"OPS" ~doc:"Operations per process.")
+  Cmd.v (Cmd.info "run" ~doc) Term.(const run $ Run_driver.term ())
+
+let soak_cmd =
+  let doc =
+    "Long-horizon soak run: stream time-series telemetry — registry \
+     snapshots, per-replica log and checkpoint gauges, engine queue depth, \
+     per-shard op rates, sliding-window latency percentiles — on a \
+     simulated-time cadence, evaluate declarative alert rules over the \
+     series each tick, and exit non-zero if any rule fires. Takes every \
+     `ucsim run` flag."
   in
-  let delay_arg =
-    Arg.(value & opt float 10.0 & info [ "delay" ] ~docv:"D" ~doc:"Mean message delay.")
+  let duration_arg =
+    opt_arg Arg.(some float) "duration" "T" None
+      "Hard horizon in simulated time: the run stops at $(docv) even \
+       with script left (the default horizon is the runner's 1e7 \
+       deadline)."
   in
-  let shards_arg =
-    Arg.(
-      value & opt int 1
-      & info [ "shards" ] ~docv:"S"
-          ~doc:
-            "Initial shard count for the $(b,sharded) protocol: one \
-             Algorithm 1 core per shard behind a consistent-hash ring. 1 \
-             (the default) keeps every key in a single core.")
+  let sample_interval_arg =
+    opt_arg Arg.float "sample-interval" "DT" 50.0
+      "Simulated time between samples. Samples piggyback on existing \
+       deliveries and completions — the sampler never schedules engine \
+       events, so the schedule is identical with or without it."
   in
-  let keys_arg =
-    Arg.(
-      value & opt int 64
-      & info [ "keys" ] ~docv:"K"
-          ~doc:
-            "Key domain of the sharded workload (Zipf-skewed; key 0 is the \
-             hottest).")
+  let series_out_arg =
+    opt_arg Arg.(some string) "series-out" "FILE" None
+      "Stream every sample (full resolution) and alert firing as JSONL \
+       to $(docv); render it later with `ucsim report --series`."
   in
-  let rebalance_arg =
-    Arg.(
-      value
-      & opt (some float) None
-      & info [ "rebalance" ] ~docv:"DT"
-          ~doc:
-            "Arm the hot-shard policy: every $(docv) simulated time units, \
-             split the hottest shard when its op rate exceeds 2x the \
-             per-shard mean (sharded protocol only).")
-  in
-  let fifo_arg = Arg.(value & flag & info [ "fifo" ] ~doc:"FIFO channels.") in
-  let crash_arg =
-    Arg.(value & flag & info [ "crash" ] ~doc:"Crash the last process at t=50.")
-  in
-  let check_arg =
-    Arg.(
-      value & flag
-      & info [ "check" ]
-          ~doc:"Run the UC/EC checkers on the extracted history (small runs only).")
-  in
-  let trace_arg =
-    Arg.(
-      value & flag
-      & info [ "trace" ] ~doc:"Print a space-time trace of the run (set protocols only).")
-  in
-  let log_core_arg =
-    Arg.(
-      value
-      & opt (enum [ ("list", `List); ("array", `Array) ]) `Array
-      & info [ "log-core" ] ~docv:"CORE"
-          ~doc:
-            "Op-log substrate for the universal protocols: the seed's cons-list \
-             core or the array-backed oplog with interval checkpoints (default).")
-  in
-  let checkpoint_interval_arg =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "checkpoint-interval" ] ~docv:"K"
-          ~doc:
-            "Record an oplog state checkpoint every K entries (universal \
-             protocols on the array core; 0 disables checkpointing).")
-  in
-  let obs_arg =
-    Arg.(
-      value & flag
-      & info [ "obs" ]
-          ~doc:
-            "Enable the telemetry layer: per-replica metric registry, causal \
-             span tracing, replay-cost profiles. Off by default; runs without \
-             it are bit-identical to the uninstrumented simulator.")
-  in
-  let trace_out_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "trace-out" ] ~docv:"FILE"
-          ~doc:
-            "Write the span trace as Chrome/Perfetto trace-event JSON to \
-             $(docv) (implies --obs). Load it in ui.perfetto.dev.")
-  in
-  let registry_out_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "registry-out" ] ~docv:"FILE"
-          ~doc:
-            "Write the metric registry dump as JSON to $(docv) (implies \
-             --obs). Render it later with `ucsim report`.")
-  in
-  let span_dump_arg =
-    Arg.(
-      value & flag
-      & info [ "span-dump" ]
-          ~doc:"Print the compact per-span dump (implies --obs).")
-  in
-  let probe_interval_arg =
-    Arg.(
-      value
-      & opt (some float) None
-      & info [ "probe-interval" ] ~docv:"DT"
-          ~doc:
-            "Sample every live replica's state fingerprint at most every \
-             $(docv) simulated time units, recording the divergence series \
-             and feeding visibility-latency accounting (implies --obs).")
-  in
-  let partition_conv =
+  let rule_conv =
     let parse s =
-      match String.split_on_char ':' s with
-      | [ from_s; to_s; group_s ] -> (
-        match (float_of_string_opt from_s, float_of_string_opt to_s) with
-        | Some from_time, Some to_time ->
-          let members = String.split_on_char ',' group_s in
-          let group = List.filter_map int_of_string_opt members in
-          if List.length group <> List.length members || group = [] then
-            Error (`Msg "partition: group must be a comma-separated pid list")
-          else Ok { Network.from_time; to_time; group }
-        | _ -> Error (`Msg "partition: FROM and TO must be numbers"))
-      | _ -> Error (`Msg "partition: expected FROM:TO:P1,P2,...")
+      match Obs.Alert.rule_of_string s with
+      | r -> Ok r
+      | exception Invalid_argument msg -> Error (`Msg msg)
     in
-    let print ppf (p : Network.partition) =
-      Format.fprintf ppf "%g:%g:%s" p.Network.from_time p.Network.to_time
-        (String.concat "," (List.map string_of_int p.Network.group))
-    in
+    let print ppf r = Format.pp_print_string ppf (Obs.Alert.rule_to_string r) in
     Arg.conv (parse, print)
   in
-  let partitions_arg =
+  let rules_arg =
     Arg.(
       value
-      & opt_all partition_conv []
-      & info [ "partition" ] ~docv:"FROM:TO:PIDS"
+      & opt_all rule_conv []
+      & info [ "rule" ] ~docv:"RULE"
           ~doc:
-            "Isolate the comma-separated pid group from everyone else between \
-             simulated times FROM and TO (messages are delayed, not lost; the \
-             partition heals at TO). Repeatable.")
+            "Alert rule over the sampled series: $(b,above:SERIES:V), \
+             $(b,below:SERIES:V), $(b,growth:SERIES:K) (the last K retained \
+             points strictly increasing — the unbounded-growth detector), or \
+             $(b,slo:SERIES:TARGET). A rule addresses every labeled series \
+             of that name, fires at most once, and is journaled as an Alert \
+             event. Repeatable.")
   in
-  let churn_conv =
-    let parse s =
-      match String.split_on_char ':' s with
-      | [ t_s; action_s; pid_s ] -> (
-        match
-          ( float_of_string_opt t_s,
-            Network.churn_action_of_name action_s,
-            int_of_string_opt pid_s )
-        with
-        | Some time, Some action, Some pid -> Ok { Network.time; pid; action }
-        | _ -> Error (`Msg "churn: expected TIME:join|leave|rejoin:PID"))
-      | _ -> Error (`Msg "churn: expected TIME:ACTION:PID")
-    in
-    let print ppf (ce : Network.churn_event) =
-      Format.fprintf ppf "%g:%s:%d" ce.Network.time
-        (Network.churn_action_name ce.Network.action)
-        ce.Network.pid
-    in
-    Arg.conv (parse, print)
+  let run (spec, outputs) duration sample_interval series_out rules =
+    let soak = Some { Run_spec.sample_interval; duration; rules } in
+    let spec = { spec with Run_spec.soak } in
+    let outputs = { outputs with Run_driver.series_out } in
+    match Run_driver.run ~outputs spec with
+    | Error msg -> fail "soak" msg
+    | Ok o -> if o.Run_driver.alerts_fired > 0 then exit 1
   in
-  let churn_arg =
-    Arg.(
-      value
-      & opt_all churn_conv []
-      & info [ "churn" ] ~docv:"TIME:ACTION:PID"
-          ~doc:
-            "Membership change at simulated time TIME: $(b,leave) detaches the \
-             replica (its script parks, frames to and from it drop), \
-             $(b,rejoin) re-attaches it with its crash-time state, and \
-             $(b,join) declares a process that starts the run absent and \
-             joins fresh — joiners and rejoiners catch up from a present \
-             peer's snapshot when the protocol supports one. Repeatable.")
-  in
-  let batch_window_arg =
-    Arg.(
-      value
-      & opt (some float) None
-      & info [ "batch-window" ] ~docv:"W"
-          ~doc:
-            "Buffer each process's broadcasts and flush them as one frame per \
-             destination $(docv) time units after the window opens.")
-  in
-  let journal_out_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "journal-out" ] ~docv:"FILE"
-          ~doc:
-            "Record every invocation, wire frame, delivery, fault and probe \
-             into a self-describing JSONL event journal at $(docv), sealed \
-             with the run's history fingerprint (implies --obs). Re-execute \
-             it with `ucsim replay`.")
-  in
-  let monitors_arg =
-    Arg.(
-      value
-      & opt monitors_conv []
-      & info [ "monitor" ] ~docv:"CRITERIA"
-          ~doc:
-            "Comma-separated consistency criteria (uc, ec, pc) to check \
-             online as the run progresses; the first violating event is \
-             reported with its journal index and span id (implies --obs).")
-  in
-  let run (name, f) seed n ops shards keys rebalance mean_delay fifo crash_one
-      check spacetime log_core checkpoint_interval batch_window obs_on
-      trace_out registry_out span_dump probe_interval partitions churn
-      journal_out monitors =
-    f
-      {
-        protocol = name;
-        seed;
-        n;
-        ops;
-        shards;
-        keys;
-        rebalance;
-        mean_delay;
-        fifo;
-        crashes = (if crash_one then [ (50.0, n - 1) ] else []);
-        check;
-        spacetime;
-        log_core;
-        checkpoint_interval;
-        batch_window;
-        obs_on;
-        trace_out;
-        registry_out;
-        span_dump;
-        probe_interval;
-        partitions;
-        churn;
-        scripts = None;
-        journal_out;
-        journal = None;
-        monitors;
-        obs = None;
-        sample_interval = None;
-        duration = None;
-        rules = [];
-        sampler = None;
-      }
-  in
-  Cmd.v (Cmd.info "run" ~doc)
+  Cmd.v (Cmd.info "soak" ~doc)
     Term.(
-      const run $ protocol $ seed_arg $ n_arg $ ops_arg $ shards_arg $ keys_arg
-      $ rebalance_arg $ delay_arg $ fifo_arg $ crash_arg
-      $ check_arg $ trace_arg $ log_core_arg $ checkpoint_interval_arg
-      $ batch_window_arg $ obs_arg $ trace_out_arg $ registry_out_arg
-      $ span_dump_arg $ probe_interval_arg $ partitions_arg $ churn_arg
-      $ journal_out_arg $ monitors_arg)
+      const run $ Run_driver.term ~ops:500 () $ duration_arg
+      $ sample_interval_arg $ series_out_arg $ rules_arg)
 
 let modelcheck_cmd =
   let doc =
@@ -1217,72 +187,39 @@ let modelcheck_cmd =
     in
     Arg.(value & pos 0 (enum choices) `Universal & info [] ~docv:"PROTOCOL")
   in
-  let por_arg =
-    Arg.(value & flag & info [ "por" ] ~doc:"Enable sleep-set partial-order reduction.")
-  in
+  let por_arg = flag_arg "por" "Enable sleep-set partial-order reduction." in
   let dedup_arg =
-    Arg.(
-      value & flag
-      & info [ "dedup" ]
-          ~doc:
-            "Enable state fingerprinting (universal and counter only — needs a \
-             replica snapshot).")
+    flag_arg "dedup"
+      "Enable state fingerprinting (universal and counter only — needs a \
+       replica snapshot)."
   in
   let domains_arg =
-    Arg.(
-      value & opt int 1
-      & info [ "domains" ] ~docv:"D" ~doc:"Explore first-level branches over D domains.")
+    opt_arg Arg.int "domains" "D" 1
+      "Explore first-level branches over D domains."
   in
   let checkpoint_arg =
-    Arg.(
-      value & opt int 4
-      & info [ "checkpoint" ] ~docv:"K"
-          ~doc:
-            "Snapshot protocol state every K events for O(K) backtracking (0 \
-             disables; universal and counter only).")
+    opt_arg Arg.int "checkpoint" "K" 4
+      "Snapshot protocol state every K events for O(K) backtracking (0 \
+       disables; universal and counter only)."
   in
   let crashes_arg =
-    Arg.(
-      value & opt int 0
-      & info [ "max-crashes" ] ~docv:"C" ~doc:"Also explore up to C process crashes.")
+    opt_arg Arg.int "max-crashes" "C" 0 "Also explore up to C process crashes."
   in
   let limit_arg =
-    Arg.(
-      value & opt int 200_000
-      & info [ "limit" ] ~docv:"L" ~doc:"Cap on complete executions.")
+    opt_arg Arg.int "limit" "L" 200_000 "Cap on complete executions."
   in
-  let n_arg =
-    Arg.(
-      value & opt int 2
-      & info [ "n" ] ~docv:"N" ~doc:"Processes (counter protocol only).")
-  in
+  let n_arg = opt_arg Arg.int "n" "N" 2 "Processes (counter protocol only)." in
   let ops_arg =
-    Arg.(
-      value & opt int 2
-      & info [ "ops" ] ~docv:"OPS"
-          ~doc:"Increments per process (counter protocol only).")
-  in
-  let log_core_arg =
-    Arg.(
-      value
-      & opt (enum [ ("list", `List); ("array", `Array) ]) `Array
-      & info [ "log-core" ] ~docv:"CORE"
-          ~doc:
-            "Op-log substrate for the universal protocols: the seed's cons-list \
-             core or the array-backed oplog (default). Both cores must report \
-             identical verdicts — the flag exists for exactly that A/B check.")
+    opt_arg Arg.int "ops" "OPS" 2
+      "Increments per process (counter protocol only)."
   in
   let checkpoint_interval_arg =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "checkpoint-interval" ] ~docv:"K"
-          ~doc:
-            "Oplog state-checkpoint cadence inside the replicas (array core \
-             only; distinct from --checkpoint, which snapshots whole replicas \
-             for explorer backtracking).")
+    opt_arg Arg.(some int) "checkpoint-interval" "K" None
+      "Oplog state-checkpoint cadence inside the replicas (universal and \
+       counter; distinct from --checkpoint, which snapshots whole replicas \
+       for explorer backtracking)."
   in
-  let run which por dedup domains checkpoint max_crashes limit n ops log_core
+  let run which por dedup domains checkpoint max_crashes limit n ops
       checkpoint_interval =
     let race =
       [|
@@ -1310,135 +247,99 @@ let modelcheck_cmd =
           Printf.printf "first %s violation:\n%s\n" (Criteria.name c) text)
         firsts
     in
+    let core interval =
+      Printf.sprintf "log core: array (checkpoint interval %d)" interval
+    in
     let checkpoint_every = if checkpoint > 0 then checkpoint else 4 in
+    let snapshotting = checkpoint > 0 || dedup in
+    let explore_set name (module P : SET_PROTOCOL) =
+      if dedup then
+        fail "modelcheck"
+          "--dedup needs a replica snapshot (universal/counter only)";
+      let module M = Model_check.Make (P) in
+      let r =
+        M.explore ~limit ~max_crashes ~por ~domains ~scripts:race
+          ~final_read:Set_spec.Read ()
+      in
+      print_report name r.M.executions r.M.exhaustive r.M.failures
+        r.M.distinct_failures r.M.first_failures r.M.stats
+    in
     match which with
-    | `Universal -> (
-      match log_core with
-      | `Array ->
-        Option.iter (fun k -> Uni_set_core.checkpoint_interval := k) checkpoint_interval;
-        let module M = Model_check.Make (Uni_set) in
-        let module S = Snapshot.For_generic (Set_spec) (Update_codec.For_set) in
-        let snapshot = if checkpoint > 0 || dedup then Some S.snapshotter else None in
-        let r =
-          M.explore ~limit ~max_crashes ~por ~dedup ~checkpoint_every ?snapshot
-            ~deliveries_commute:S.deliveries_commute ~domains ~scripts:race
-            ~final_read:Set_spec.Read ()
-        in
-        print_report
-          (Printf.sprintf "universal [log core: %s]"
-             (describe_log_core ~interval:!Uni_set_core.checkpoint_interval `Array))
-          r.M.executions r.M.exhaustive r.M.failures r.M.distinct_failures
-          r.M.first_failures r.M.stats
-      | `List ->
-        let module M = Model_check.Make (Uni_list) in
-        let module S =
-          Snapshot.For_replica (Set_spec) (Update_codec.For_set) (Uni_list)
-        in
-        let snapshot = if checkpoint > 0 || dedup then Some S.snapshotter else None in
-        let r =
-          M.explore ~limit ~max_crashes ~por ~dedup ~checkpoint_every ?snapshot
-            ~deliveries_commute:S.deliveries_commute ~domains ~scripts:race
-            ~final_read:Set_spec.Read ()
-        in
-        print_report "universal [log core: list]" r.M.executions r.M.exhaustive
-          r.M.failures r.M.distinct_failures r.M.first_failures r.M.stats)
-    | `Pipelined ->
-      if dedup then begin
-        Printf.eprintf "modelcheck: --dedup needs a replica snapshot (universal/counter only)\n";
-        exit 1
-      end;
-      let module M = Model_check.Make (Pipe_set) in
+    | `Universal ->
+      Option.iter
+        (fun k -> Uni_set_core.checkpoint_interval := k)
+        checkpoint_interval;
+      let module M = Model_check.Make (Uni_set) in
+      let module S = Snapshot.For_generic (Set_spec) (Update_codec.For_set) in
+      let snapshot = if snapshotting then Some S.snapshotter else None in
       let r =
-        M.explore ~limit ~max_crashes ~por ~domains ~scripts:race
+        M.explore ~limit ~max_crashes ~por ~dedup ~checkpoint_every ?snapshot
+          ~deliveries_commute:S.deliveries_commute ~domains ~scripts:race
           ~final_read:Set_spec.Read ()
       in
-      print_report "pipelined" r.M.executions r.M.exhaustive r.M.failures
-        r.M.distinct_failures r.M.first_failures r.M.stats
-    | `Orset ->
-      if dedup then begin
-        Printf.eprintf "modelcheck: --dedup needs a replica snapshot (universal/counter only)\n";
-        exit 1
-      end;
-      let module M = Model_check.Make (Orset_crdt) in
-      let r =
-        M.explore ~limit ~max_crashes ~por ~domains ~scripts:race
-          ~final_read:Set_spec.Read ()
-      in
-      print_report "or-set" r.M.executions r.M.exhaustive r.M.failures
-        r.M.distinct_failures r.M.first_failures r.M.stats
+      print_report
+        (Printf.sprintf "universal [%s]"
+           (core !Uni_set_core.checkpoint_interval))
+        r.M.executions r.M.exhaustive r.M.failures r.M.distinct_failures
+        r.M.first_failures r.M.stats
+    | `Pipelined -> explore_set "pipelined" (module Pipelined.Make (Set_spec))
+    | `Orset -> explore_set "or-set" (module Orset_crdt)
     | `Counter ->
+      Option.iter
+        (fun k -> Uni_counter_core.checkpoint_interval := k)
+        checkpoint_interval;
       let scripts =
         Array.init n (fun pid ->
             List.init ops (fun i ->
                 Protocol.Invoke_update (Counter_spec.Add ((pid * ops) + i + 1))))
       in
-      let explore_counter (type t m)
-          (module G : Generic.S
-            with type update = Counter_spec.update
-             and type query = Counter_spec.query
-             and type output = Counter_spec.output
-             and type state = Counter_spec.state
-             and type t = t
-             and type message = m) core_label =
-        let module M = Model_check.Make (G) in
-        let module S =
-          Snapshot.For_replica (Counter_spec) (Update_codec.For_counter) (G)
-        in
-        let snapshot = if checkpoint > 0 || dedup then Some S.snapshotter else None in
-        let state_key = if dedup then Some S.commutative_key else None in
-        let message_key = if dedup then Some S.commutative_message_key else None in
-        let r =
-          M.explore ~limit ~max_crashes ~por ~dedup ~checkpoint_every ?snapshot
-            ?state_key ?message_key ~deliveries_commute:S.deliveries_commute
-            ~domains ~scripts ~final_read:Counter_spec.Value ()
-        in
-        print_report
-          (Printf.sprintf "universal counter (n=%d, ops=%d) [log core: %s]" n ops
-             core_label)
-          r.M.executions r.M.exhaustive r.M.failures r.M.distinct_failures
-          r.M.first_failures r.M.stats
+      let module M = Model_check.Make (Uni_counter) in
+      let module S =
+        Snapshot.For_replica (Counter_spec) (Update_codec.For_counter)
+          (Uni_counter)
       in
-      (match log_core with
-      | `Array ->
-        Option.iter
-          (fun k -> Uni_counter_core.checkpoint_interval := k)
-          checkpoint_interval;
-        explore_counter
-          (module Uni_counter)
-          (describe_log_core ~interval:!Uni_counter_core.checkpoint_interval `Array)
-      | `List ->
-        let module L = Generic_ref.Make (Counter_spec) in
-        explore_counter (module L) "list")
+      let snapshot = if snapshotting then Some S.snapshotter else None in
+      let state_key = if dedup then Some S.commutative_key else None in
+      let message_key =
+        if dedup then Some S.commutative_message_key else None
+      in
+      let r =
+        M.explore ~limit ~max_crashes ~por ~dedup ~checkpoint_every ?snapshot
+          ?state_key ?message_key ~deliveries_commute:S.deliveries_commute
+          ~domains ~scripts ~final_read:Counter_spec.Value ()
+      in
+      print_report
+        (Printf.sprintf "universal counter (n=%d, ops=%d) [%s]" n ops
+           (core !Uni_counter_core.checkpoint_interval))
+        r.M.executions r.M.exhaustive r.M.failures r.M.distinct_failures
+        r.M.first_failures r.M.stats
   in
   Cmd.v (Cmd.info "modelcheck" ~doc)
     Term.(
       const run $ which $ por_arg $ dedup_arg $ domains_arg $ checkpoint_arg
-      $ crashes_arg $ limit_arg $ n_arg $ ops_arg $ log_core_arg
-      $ checkpoint_interval_arg)
+      $ crashes_arg $ limit_arg $ n_arg $ ops_arg $ checkpoint_interval_arg)
 
 let nemesis_cmd =
   let doc = "Run a randomized fault campaign (crashes + healing partitions)." in
-  let which =
-    let choices =
-      [
-        ("universal", `Universal);
-        ("memo", `Memo);
-        ("gc", `Gc);
-        ("undo", `Undo);
-        ("orset", `Orset);
-        ("pipelined", `Pipelined);
-      ]
-    in
-    Arg.(value & pos 0 (enum choices) `Universal & info [] ~docv:"PROTOCOL")
+  (* each protocol, and whether its channels must be FIFO *)
+  let protocols : (string * ((module SET_PROTOCOL) * bool)) list =
+    [
+      ("universal", ((module Uni_set), false));
+      ("memo", ((module Memo.Make (Set_spec)), false));
+      ("gc", ((module Gc.Make (Set_spec)), true));
+      ("undo", ((module Undo.Make (Undoable.Set)), false));
+      ("orset", ((module Orset_crdt), false));
+      ("pipelined", ((module Pipelined.Make (Set_spec)), false));
+    ]
   in
-  let runs_arg =
-    Arg.(value & opt int 50 & info [ "runs" ] ~docv:"N" ~doc:"Campaign size.")
-  in
+  let which = protocol_arg protocols in
+  let runs_arg = opt_arg Arg.int "runs" "N" 50 "Campaign size." in
   let set_workload rng ~n ~ops =
     Workload.For_set.conflict ~rng ~n ~ops_per_process:ops ~domain:8 ~skew:1.0
       ~delete_ratio:0.35
   in
-  let campaign_of (module P : SET_PROTOCOL) ~fifo ~runs ~seed =
+  let run which seed runs =
+    let (module P : SET_PROTOCOL), fifo = List.assoc which protocols in
     let module N = Nemesis.Make (P) in
     let campaign = { N.default_campaign with N.runs; fifo; base_seed = seed } in
     let v = N.run campaign ~workload:set_workload ~final_read:Set_spec.Read in
@@ -1455,35 +356,7 @@ let nemesis_cmd =
       Printf.printf "failing seeds: %s\n"
         (String.concat ", " (List.map string_of_int v.N.failing_seeds))
   in
-  let run which seed runs =
-    match which with
-    | `Universal -> campaign_of (module Uni_set) ~fifo:false ~runs ~seed
-    | `Memo -> campaign_of (module Memo_set) ~fifo:false ~runs ~seed
-    | `Gc -> campaign_of (module Gc_set) ~fifo:true ~runs ~seed
-    | `Undo -> campaign_of (module Undo_set) ~fifo:false ~runs ~seed
-    | `Orset -> campaign_of (module Orset_crdt) ~fifo:false ~runs ~seed
-    | `Pipelined -> campaign_of (module Pipe_set) ~fifo:false ~runs ~seed
-  in
   Cmd.v (Cmd.info "nemesis" ~doc) Term.(const run $ which $ seed_arg $ runs_arg)
-
-let read_file file =
-  let ic = open_in_bin file in
-  let len = in_channel_length ic in
-  let s = really_input_string ic len in
-  close_in ic;
-  s
-
-(* Parse a journal file, dying with a one-line diagnostic on anything
-   malformed or truncated — same contract as `report`. *)
-let load_journal ~cmd file =
-  match Obs.Journal.of_jsonl (read_file file) with
-  | exception Obs.Journal.Parse_error msg ->
-    Printf.eprintf "%s: %s: %s\n" cmd file msg;
-    exit 1
-  | exception Failure msg ->
-    Printf.eprintf "%s: %s: %s\n" cmd file msg;
-    exit 1
-  | j -> j
 
 let storm_cmd =
   let doc =
@@ -1491,168 +364,122 @@ let storm_cmd =
      spike, cool-down) on top of the closed-loop clients, with per-operation \
      latency judged against an SLO target."
   in
-  let which =
-    let choices =
-      [
-        ("universal", `Universal);
-        ("memo", `Memo);
-        ("orset", `Orset);
-        ("pipelined", `Pipelined);
-        ("lwwset", `Lwwset);
-      ]
-    in
-    Arg.(value & pos 0 (enum choices) `Universal & info [] ~docv:"PROTOCOL")
+  let protocols : (string * (module SET_PROTOCOL)) list =
+    [
+      ("universal", (module Uni_set));
+      ("memo", (module Memo.Make (Set_spec)));
+      ("orset", (module Orset_crdt));
+      ("pipelined", (module Pipelined.Make (Set_spec)));
+      ("lwwset", (module Lwwset_crdt));
+    ]
   in
-  let n_arg = Arg.(value & opt int 3 & info [ "n" ] ~docv:"N" ~doc:"Replicas.") in
-  let clients_arg =
-    Arg.(value & opt int 6 & info [ "clients" ] ~docv:"C" ~doc:"Closed-loop clients.")
-  in
+  let which = protocol_arg protocols in
+  let n_arg = opt_arg Arg.int "n" "N" 3 "Replicas." in
+  let clients_arg = opt_arg Arg.int "clients" "C" 6 "Closed-loop clients." in
   let ops_arg =
-    Arg.(
-      value & opt int 20
-      & info [ "ops" ] ~docv:"OPS" ~doc:"Closed-loop operations per client.")
+    opt_arg Arg.int "ops" "OPS" 20 "Closed-loop operations per client."
   in
   let delay_arg =
-    Arg.(
-      value & opt float 10.0
-      & info [ "delay" ] ~docv:"D" ~doc:"Mean replica-mesh message delay.")
+    opt_arg Arg.float "delay" "D" 10.0
+      "Mean replica-mesh message delay."
   in
   let base_arg =
-    Arg.(
-      value & opt float 0.2
-      & info [ "base" ] ~docv:"R"
-          ~doc:"Background arrival rate (operations per time unit).")
+    opt_arg Arg.float "base" "R" 0.2
+      "Background arrival rate (operations per time unit)."
   in
   let peak_arg =
-    Arg.(
-      value & opt float 4.0
-      & info [ "peak" ] ~docv:"R" ~doc:"Arrival rate during the spike.")
+    opt_arg Arg.float "peak" "R" 4.0
+      "Arrival rate during the spike."
   in
   let warm_arg =
-    Arg.(
-      value & opt float 60.0
-      & info [ "warm" ] ~docv:"T" ~doc:"Warm-up duration at the base rate.")
+    opt_arg Arg.float "warm" "T" 60.0
+      "Warm-up duration at the base rate."
   in
   let spike_arg =
-    Arg.(
-      value & opt float 40.0
-      & info [ "spike" ] ~docv:"T" ~doc:"Spike duration at the peak rate.")
+    opt_arg Arg.float "spike" "T" 40.0
+      "Spike duration at the peak rate."
   in
   let cool_arg =
-    Arg.(
-      value & opt float 60.0
-      & info [ "cool" ] ~docv:"T" ~doc:"Cool-down duration at the base rate.")
+    opt_arg Arg.float "cool" "T" 60.0
+      "Cool-down duration at the base rate."
   in
   let slo_arg =
-    Arg.(
-      value & opt float 40.0
-      & info [ "slo" ] ~docv:"L"
-          ~doc:
-            "Latency target: the SLO is met when the open-loop p99 is at or \
-             under $(docv) simulated time units.")
+    opt_arg Arg.float "slo" "L" 40.0
+      "Latency target: the SLO is met when the open-loop p99 is at or under \
+       $(docv) simulated time units."
   in
   let query_ratio_arg =
-    Arg.(
-      value & opt float 0.25
-      & info [ "query-ratio" ] ~docv:"Q"
-          ~doc:"Fraction of open-loop arrivals that are reads.")
+    opt_arg Arg.float "query-ratio" "Q" 0.25
+      "Fraction of open-loop arrivals that are reads."
   in
   let registry_out_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "registry-out" ] ~docv:"FILE"
-          ~doc:
-            "Write the metric registry (including the open-loop latency \
-             histogram) as JSON to $(docv).")
+    opt_arg Arg.(some string) "registry-out" "FILE" None
+      "Write the metric registry (including the open-loop latency \
+       histogram) as JSON to $(docv)."
   in
   let run which seed n clients ops delay base peak warm spike cool slo
       query_ratio registry_out =
-    let go (module P : SET_PROTOCOL) =
-      let module C = Clients.Make (P) in
-      let rng = Prng.create seed in
-      let workload =
-        Workload.For_set.conflict ~rng ~n:clients ~ops_per_process:ops
-          ~domain:16 ~skew:1.0 ~delete_ratio:0.3
-      in
-      let obs = if registry_out <> None then Some (Obs.create ()) else None in
-      let plan = Workload.Flash_crowd.plan ~base ~peak ~warm ~spike ~cool in
-      let config =
-        {
-          (C.default_config ~n_replicas:n ~n_clients:clients ~seed) with
-          C.replica_delay = Network.Exponential { mean = delay };
-          final_read = Some Set_spec.Read;
-          open_loop =
-            Some
-              {
-                C.plan;
-                mix =
-                  (let one =
-                     Workload.Flash_crowd.set_mix ~domain:16 ~skew:1.0
-                       ~delete_ratio:0.3 ~query_ratio
-                   in
-                   fun g -> [ one g ]);
-              };
-          obs;
-        }
-      in
-      let r = C.run config ~workload in
-      Printf.printf "protocol           %s (object: set)\n" P.protocol_name;
-      Printf.printf "replicas/clients   %d/%d\n" n clients;
-      Printf.printf "arrival plan       %s\n"
-        (String.concat " | "
-           (List.map
-              (fun (ph : Clients.phase) ->
-                Printf.sprintf "%g/t for %g" ph.Clients.rate ph.Clients.duration)
-              plan));
-      Printf.printf "closed loop        %d completed, %d retried, %d failovers\n"
-        r.C.ops_completed r.C.ops_abandoned r.C.failovers;
-      Printf.printf "open loop          %d completed, %d abandoned\n"
-        r.C.open_completed r.C.open_abandoned;
-      Printf.printf "converged          %b\n" r.C.converged;
-      (match r.C.open_latencies with
-      | [] -> print_endline "open-loop SLO      no arrivals"
-      | ls ->
-        Format.printf "open-loop SLO      %a@." Stats.pp_slo (Stats.slo ~target:slo ls));
-      match (obs, registry_out) with
-      | Some o, Some file ->
-        Obs.finalize o ~live:[];
-        write_json file (Obs.Registry.to_json o.Obs.registry);
-        Printf.printf "registry written   %s\n" file
-      | _ -> ()
+    let (module P : SET_PROTOCOL) = List.assoc which protocols in
+    let module C = Clients.Make (P) in
+    let rng = Prng.create seed in
+    let workload =
+      Workload.For_set.conflict ~rng ~n:clients ~ops_per_process:ops
+        ~domain:16 ~skew:1.0 ~delete_ratio:0.3
     in
-    match which with
-    | `Universal -> go (module Uni_set)
-    | `Memo -> go (module Memo_set)
-    | `Orset -> go (module Orset_crdt)
-    | `Pipelined -> go (module Pipe_set)
-    | `Lwwset -> go (module Lwwset_crdt)
+    let obs = if registry_out <> None then Some (Obs.create ()) else None in
+    let plan = Workload.Flash_crowd.plan ~base ~peak ~warm ~spike ~cool in
+    let config =
+      {
+        (C.default_config ~n_replicas:n ~n_clients:clients ~seed) with
+        C.replica_delay = Network.Exponential { mean = delay };
+        final_read = Some Set_spec.Read;
+        open_loop =
+          Some
+            {
+              C.plan;
+              mix =
+                (let one =
+                   Workload.Flash_crowd.set_mix ~domain:16 ~skew:1.0
+                     ~delete_ratio:0.3 ~query_ratio
+                 in
+                 fun g -> [ one g ]);
+            };
+        obs;
+      }
+    in
+    let r = C.run config ~workload in
+    Printf.printf "protocol           %s (object: set)\n" P.protocol_name;
+    Printf.printf "replicas/clients   %d/%d\n" n clients;
+    Printf.printf "arrival plan       %s\n"
+      (String.concat " | "
+         (List.map
+            (fun (ph : Clients.phase) ->
+              Printf.sprintf "%g/t for %g" ph.Clients.rate ph.Clients.duration)
+            plan));
+    Printf.printf "closed loop        %d completed, %d retried, %d failovers\n"
+      r.C.ops_completed r.C.ops_abandoned r.C.failovers;
+    Printf.printf "open loop          %d completed, %d abandoned\n"
+      r.C.open_completed r.C.open_abandoned;
+    Printf.printf "converged          %b\n" r.C.converged;
+    (match r.C.open_latencies with
+    | [] -> print_endline "open-loop SLO      no arrivals"
+    | ls ->
+      Format.printf "open-loop SLO      %a@." Stats.pp_slo
+        (Stats.slo ~target:slo ls));
+    match (obs, registry_out) with
+    | Some o, Some file ->
+      Obs.finalize o ~live:[];
+      write_file file
+        (Obs.Json.to_string ~pretty:true (Obs.Registry.to_json o.Obs.registry)
+        ^ "\n");
+      Printf.printf "registry written   %s\n" file
+    | _ -> ()
   in
   Cmd.v (Cmd.info "storm" ~doc)
     Term.(
       const run $ which $ seed_arg $ n_arg $ clients_arg $ ops_arg $ delay_arg
       $ base_arg $ peak_arg $ warm_arg $ spike_arg $ cool_arg $ slo_arg
       $ query_ratio_arg $ registry_out_arg)
-
-(* The protocols `shrink` can rebuild a Scenario for: the set protocols
-   whose `run` driver goes through {!run_set}, so a minimized journal's
-   explicit scripts replay through the stock driver. *)
-let set_scenario_protocol p : (module SET_PROTOCOL) option =
-  match p.protocol with
-  | "universal" -> (
-    Option.iter (fun k -> Uni_set_core.checkpoint_interval := k) p.checkpoint_interval;
-    match p.log_core with
-    | `Array -> Some (module Uni_set)
-    | `List -> Some (module Uni_list))
-  | "memo" -> Some (module Memo_set)
-  | "gc" -> Some (module Gc_set)
-  | "undo" -> Some (module Undo_set)
-  | "pipelined" -> Some (module Pipe_set)
-  | "orset" -> Some (module Orset_crdt)
-  | "2pset" -> Some (module Twopset_crdt.Protocol_impl)
-  | "lwwset" -> Some (module Lwwset_crdt)
-  | "pnset" -> Some (module Pnset_crdt)
-  | _ -> None
 
 let shrink_cmd =
   let doc =
@@ -1667,112 +494,35 @@ let shrink_cmd =
       & info [ "journal-in" ] ~docv:"FILE" ~doc:"Journal of the flagged run.")
   in
   let out_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "journal-out" ] ~docv:"FILE"
-          ~doc:"Write the minimized violating journal to $(docv).")
+    opt_arg Arg.(some string) "journal-out" "FILE" None
+      "Write the minimized violating journal to $(docv)."
   in
   let max_runs_arg =
-    Arg.(
-      value & opt int 400
-      & info [ "max-runs" ] ~docv:"N"
-          ~doc:"Re-execution budget for the greedy descent.")
+    opt_arg Arg.int "max-runs" "N" 400
+      "Re-execution budget for the greedy descent."
   in
   let run file out max_runs =
     let recorded = load_journal ~cmd:"shrink" file in
-    let p =
-      match
-        params_of_header ~journal:(Obs.Journal.create ())
-          (Obs.Journal.header recorded)
-      with
-      | exception Failure msg ->
-        Printf.eprintf "shrink: %s: %s\n" file msg;
-        exit 1
-      | p -> { p with journal = None }
+    let spec =
+      match spec_of_journal ~cmd:"shrink" file recorded with
+      | Run_spec.Sim s -> s
+      | Run_spec.Parallel _ ->
+        fail "shrink" (file ^ ": multicore journals are not shrinkable")
     in
-    if p.batch_window <> None || p.probe_interval <> None then begin
-      Printf.eprintf
-        "shrink: runs recorded with --batch-window or --probe-interval are \
-         not shrinkable (the scenario engine re-executes without them)\n";
-      exit 1
-    end;
-    let (module P : SET_PROTOCOL) =
-      match set_scenario_protocol p with
-      | Some m -> m
-      | None ->
-        Printf.eprintf
-          "shrink: protocol %S has no scenario engine (set protocols only)\n"
-          p.protocol;
-        exit 1
-    in
-    let module S = Scenario.Make (P) in
-    let scripts =
-      match set_workload_of_params p with
-      | exception Failure msg ->
-        Printf.eprintf "shrink: %s\n" msg;
-        exit 1
-      | w -> w
-    in
-    let scenario =
-      {
-        S.seed = p.seed;
-        n = p.n;
-        mean_delay = p.mean_delay;
-        fifo = p.fifo;
-        scripts;
-        partitions = p.partitions;
-        crashes = p.crashes;
-        churn = p.churn;
-        final_read = Some Set_spec.Read;
-      }
-    in
-    let criteria =
-      if p.monitors = [] then [ Obs.Monitor.Uc; Obs.Monitor.Ec; Obs.Monitor.Pc ]
-      else p.monitors
-    in
-    Format.printf "scenario           %a@." S.pp scenario;
-    match S.shrink ~max_runs ~criteria scenario with
-    | None ->
-      Printf.eprintf
-        "shrink: run is clean — no %s violation to minimize\n"
-        (String.concat "/" (List.map Obs.Monitor.criterion_name criteria));
-      exit 1
-    | Some { S.scenario = m; outcome; runs } ->
-      let v =
-        match outcome.S.violation with Some v -> v | None -> assert false
-      in
-      Format.printf "violation          %a@." Obs.Monitor.pp_violation v;
+    match Run_driver.shrink ~max_runs spec with
+    | Error msg -> fail "shrink" msg
+    | Ok s ->
+      Printf.printf "scenario           %s\n" s.Run_driver.recorded;
+      Format.printf "violation          %a@." Obs.Monitor.pp_violation
+        s.violation;
       Printf.printf "minimized          %d -> %d events (%d re-executions)\n"
-        (Obs.Journal.length recorded)
-        outcome.S.events runs;
-      Format.printf "scenario (min)     %a@." S.pp m;
-      (match out with
-      | None -> ()
-      | Some out_file ->
-        let printed =
-          Array.to_list (Array.map (List.map Workload.For_set.print_op) m.S.scripts)
-        in
-        let min_params =
-          {
-            p with
-            n = m.S.n;
-            mean_delay = m.S.mean_delay;
-            fifo = m.S.fifo;
-            crashes = m.S.crashes;
-            partitions = m.S.partitions;
-            churn = m.S.churn;
-            scripts = Some printed;
-            monitors = [ v.Obs.Monitor.criterion ];
-            journal_out = Some out_file;
-          }
-        in
-        Obs.Journal.set_header outcome.S.journal (journal_header min_params);
-        let oc = open_out out_file in
-        output_string oc (Obs.Journal.to_jsonl outcome.S.journal);
-        close_out oc;
-        Printf.printf "journal written    %s (%d events)\n" out_file
-          outcome.S.events)
+        (Obs.Journal.length recorded) s.events s.runs;
+      Printf.printf "scenario (min)     %s\n" s.minimized;
+      Option.iter
+        (fun out_file ->
+          write_file out_file (Obs.Journal.to_jsonl s.journal);
+          Printf.printf "journal written    %s (%d events)\n" out_file s.events)
+        out
   in
   Cmd.v (Cmd.info "shrink" ~doc) Term.(const run $ in_arg $ out_arg $ max_runs_arg)
 
@@ -1792,7 +542,7 @@ let classify_cmd =
                Parse_history.example))
   in
   let witnesses_arg =
-    Arg.(value & flag & info [ "witness" ] ~doc:"Also print the UC/PC witnesses found.")
+    flag_arg "witness" "Also print the UC/PC witnesses found."
   in
   let run text witnesses =
     match Parse_history.parse text with
@@ -1838,251 +588,6 @@ let classify_cmd =
   in
   Cmd.v (Cmd.info "classify" ~doc) Term.(const run $ history_arg $ witnesses_arg)
 
-let soak_cmd =
-  let doc =
-    "Long-horizon soak run: stream time-series telemetry — registry \
-     snapshots, per-replica log and checkpoint gauges, engine queue depth, \
-     per-shard op rates, sliding-window latency percentiles — on a \
-     simulated-time cadence, evaluate declarative alert rules over the \
-     series each tick, and exit non-zero if any rule fires."
-  in
-  let protocol =
-    Arg.(
-      required
-      & pos 0 (some (enum (List.map (fun (n, _, f) -> (n, (n, f))) protocols))) None
-      & info [] ~docv:"PROTOCOL" ~doc:"One of the names shown by `ucsim list`.")
-  in
-  let n_arg = Arg.(value & opt int 4 & info [ "n" ] ~docv:"N" ~doc:"Processes.") in
-  let ops_arg =
-    Arg.(
-      value & opt int 500
-      & info [ "ops" ] ~docv:"OPS" ~doc:"Operations per process.")
-  in
-  let delay_arg =
-    Arg.(value & opt float 10.0 & info [ "delay" ] ~docv:"D" ~doc:"Mean message delay.")
-  in
-  let fifo_arg = Arg.(value & flag & info [ "fifo" ] ~doc:"FIFO channels.") in
-  let shards_arg =
-    Arg.(
-      value & opt int 1
-      & info [ "shards" ] ~docv:"S"
-          ~doc:"Initial shard count (sharded protocol only).")
-  in
-  let keys_arg =
-    Arg.(
-      value & opt int 64
-      & info [ "keys" ] ~docv:"K"
-          ~doc:"Key domain of the sharded workload.")
-  in
-  let rebalance_arg =
-    Arg.(
-      value
-      & opt (some float) None
-      & info [ "rebalance" ] ~docv:"DT"
-          ~doc:"Arm the hot-shard split policy (sharded protocol only).")
-  in
-  let churn_conv =
-    let parse s =
-      match String.split_on_char ':' s with
-      | [ t_s; action_s; pid_s ] -> (
-        match
-          ( float_of_string_opt t_s,
-            Network.churn_action_of_name action_s,
-            int_of_string_opt pid_s )
-        with
-        | Some time, Some action, Some pid -> Ok { Network.time; pid; action }
-        | _ -> Error (`Msg "churn: expected TIME:join|leave|rejoin:PID"))
-      | _ -> Error (`Msg "churn: expected TIME:ACTION:PID")
-    in
-    let print ppf (ce : Network.churn_event) =
-      Format.fprintf ppf "%g:%s:%d" ce.Network.time
-        (Network.churn_action_name ce.Network.action)
-        ce.Network.pid
-    in
-    Arg.conv (parse, print)
-  in
-  let churn_arg =
-    Arg.(
-      value
-      & opt_all churn_conv []
-      & info [ "churn" ] ~docv:"TIME:ACTION:PID"
-          ~doc:"Membership change schedule, as in `ucsim run`. Repeatable.")
-  in
-  let duration_arg =
-    Arg.(
-      value
-      & opt (some float) None
-      & info [ "duration" ] ~docv:"T"
-          ~doc:
-            "Hard horizon in simulated time: the run stops at $(docv) even \
-             with script left (the default horizon is the runner's 1e7 \
-             deadline).")
-  in
-  let sample_interval_arg =
-    Arg.(
-      value & opt float 50.0
-      & info [ "sample-interval" ] ~docv:"DT"
-          ~doc:
-            "Simulated time between samples. Samples piggyback on existing \
-             deliveries and completions — the sampler never schedules engine \
-             events, so the schedule is identical with or without it.")
-  in
-  let series_out_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "series-out" ] ~docv:"FILE"
-          ~doc:
-            "Stream every sample (full resolution) and alert firing as JSONL \
-             to $(docv); render it later with `ucsim report --series`.")
-  in
-  let rule_conv =
-    let parse s =
-      match Obs.Alert.rule_of_string s with
-      | r -> Ok r
-      | exception Invalid_argument msg -> Error (`Msg msg)
-    in
-    let print ppf r = Format.pp_print_string ppf (Obs.Alert.rule_to_string r) in
-    Arg.conv (parse, print)
-  in
-  let rules_arg =
-    Arg.(
-      value
-      & opt_all rule_conv []
-      & info [ "rule" ] ~docv:"RULE"
-          ~doc:
-            "Alert rule over the sampled series: $(b,above:SERIES:V), \
-             $(b,below:SERIES:V), $(b,growth:SERIES:K) (the last K retained \
-             points strictly increasing — the unbounded-growth detector), or \
-             $(b,slo:SERIES:TARGET). A rule addresses every labeled series \
-             of that name, fires at most once, and is journaled as an Alert \
-             event. Repeatable.")
-  in
-  let journal_out_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "journal-out" ] ~docv:"FILE"
-          ~doc:
-            "Record the run (with its soak header and Alert events) as a \
-             JSONL journal; `ucsim replay` reproduces the alert stream.")
-  in
-  let registry_out_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "registry-out" ] ~docv:"FILE"
-          ~doc:"Write the end-of-run metric registry dump as JSON.")
-  in
-  let run (name, f) seed n ops shards keys rebalance mean_delay fifo churn
-      duration sample_interval series_out rules journal_out registry_out =
-    let journal = Option.map (fun _ -> Obs.Journal.create ()) journal_out in
-    (* The bundle exists up front (unlike `run`, where obs_of_params
-       decides) so the sampler can snapshot its registry every tick. *)
-    let o = Obs.create ?journal () in
-    let sampler =
-      Obs.Series.sampler ~interval:sample_interval ~registry:o.Obs.registry ()
-    in
-    let writer =
-      Option.map
-        (fun file ->
-          let oc = open_out file in
-          let w =
-            Obs.Series.writer oc
-              ~meta:
-                [
-                  ("protocol", Obs.Json.Str name);
-                  ("seed", Obs.Json.Num (float_of_int seed));
-                  ("n", Obs.Json.Num (float_of_int n));
-                  ("sample_interval", Obs.Json.Num sample_interval);
-                ]
-          in
-          (file, oc, w))
-        series_out
-    in
-    Option.iter
-      (fun (_, _, w) -> Obs.Series.set_sink sampler (Obs.Series.write_point w))
-      writer;
-    let alerts = Obs.Alert.create rules in
-    Obs.Alert.attach alerts sampler ~on_fire:(fun fr ->
-        let rule = Obs.Alert.rule_to_string fr.Obs.Alert.rule in
-        Printf.printf "ALERT              %s at t=%g on %s (value %g)\n" rule
-          fr.Obs.Alert.time fr.Obs.Alert.series fr.Obs.Alert.value;
-        Option.iter
-          (fun j ->
-            Obs.Journal.record j
-              (Obs.Journal.Alert
-                 {
-                   time = fr.Obs.Alert.time;
-                   rule;
-                   series = fr.Obs.Alert.series;
-                   value = fr.Obs.Alert.value;
-                 }))
-          journal;
-        Option.iter
-          (fun (_, _, w) ->
-            Obs.Series.write_alert w ~time:fr.Obs.Alert.time ~rule
-              ~series:fr.Obs.Alert.series ~value:fr.Obs.Alert.value)
-          writer);
-    f
-      {
-        protocol = name;
-        seed;
-        n;
-        ops;
-        shards;
-        keys;
-        rebalance;
-        mean_delay;
-        fifo;
-        crashes = [];
-        check = false;
-        spacetime = false;
-        log_core = `Array;
-        checkpoint_interval = None;
-        batch_window = None;
-        obs_on = false;
-        trace_out = None;
-        registry_out;
-        span_dump = false;
-        probe_interval = None;
-        partitions = [];
-        churn;
-        scripts = None;
-        journal_out;
-        journal;
-        monitors = [];
-        obs = Some o;
-        sample_interval = Some sample_interval;
-        duration;
-        rules;
-        sampler = Some sampler;
-      };
-    Printf.printf "samples            %d ticks, %d series\n"
-      (Obs.Series.ticks sampler)
-      (List.length (Obs.Series.list (Obs.Series.store sampler)));
-    (match writer with
-    | Some (file, oc, w) ->
-      Obs.Series.close_writer w;
-      close_out oc;
-      Printf.printf "series written     %s\n" file
-    | None -> ());
-    match Obs.Alert.fired alerts with
-    | [] ->
-      Printf.printf "alerts             none fired (%d armed)\n"
-        (List.length rules)
-    | fired ->
-      Printf.printf "alerts             %d fired (of %d armed)\n"
-        (List.length fired) (List.length rules);
-      exit 1
-  in
-  Cmd.v (Cmd.info "soak" ~doc)
-    Term.(
-      const run $ protocol $ seed_arg $ n_arg $ ops_arg $ shards_arg $ keys_arg
-      $ rebalance_arg $ delay_arg $ fifo_arg $ churn_arg $ duration_arg
-      $ sample_interval_arg $ series_out_arg $ rules_arg $ journal_out_arg
-      $ registry_out_arg)
-
 let report_cmd =
   let doc =
     "Render one or more telemetry registry dumps (from `run \
@@ -2100,56 +605,36 @@ let report_cmd =
              $(b,--series).")
   in
   let json_arg =
-    Arg.(
-      value & flag
-      & info [ "json" ]
-          ~doc:
-            "Re-emit the (merged) dump as canonical (sorted, pretty) JSON \
-             instead of a table (registry dumps only).")
+    flag_arg "json"
+      "Re-emit the (merged) dump as canonical (sorted, pretty) JSON \
+       instead of a table (registry dumps only)."
   in
   let series_arg =
-    Arg.(
-      value & flag
-      & info [ "series" ]
-          ~doc:
-            "Treat FILE as a soak series stream: render one sparkline with \
-             min/max/last per series, then any fired alerts.")
+    flag_arg "series"
+      "Treat FILE as a soak series stream: render one sparkline with \
+       min/max/last per series, then any fired alerts."
   in
   let run files json series =
     if series then begin
       match files with
       | [ file ] -> (
         match Obs.Series.load file with
-        | exception Failure msg ->
-          Printf.eprintf "report: %s\n" msg;
-          exit 1
+        | exception Failure msg -> fail "report" msg
         | loaded -> Format.printf "%a" Obs.Series.render loaded)
-      | _ ->
-        Printf.eprintf "report: --series takes exactly one file\n";
-        exit 1
+      | _ -> fail "report" "--series takes exactly one file"
     end
     else begin
       let load file =
-        let contents =
-          let ic = open_in_bin file in
-          let len = in_channel_length ic in
-          let s = really_input_string ic len in
-          close_in ic;
-          s
-        in
-        match Obs.Registry.rows_of_json (Obs.Json.of_string contents) with
+        match
+          Obs.Registry.rows_of_json (Obs.Json.of_string (read_file file))
+        with
         | exception Obs.Json.Parse_error msg ->
-          Printf.eprintf "report: %s is not JSON: %s\n" file msg;
-          exit 1
-        | exception Failure msg ->
-          Printf.eprintf "report: %s: %s\n" file msg;
-          exit 1
+          fail "report" (Printf.sprintf "%s is not JSON: %s" file msg)
+        | exception Failure msg -> fail "report" (file ^ ": " ^ msg)
         | rows -> rows
       in
       match Obs.Registry.merge_rows (List.map load files) with
-      | exception Failure msg ->
-        Printf.eprintf "report: %s\n" msg;
-        exit 1
+      | exception Failure msg -> fail "report" msg
       | rows ->
         if json then
           print_endline
@@ -2160,80 +645,81 @@ let report_cmd =
   Cmd.v (Cmd.info "report" ~doc)
     Term.(const run $ files_arg $ json_arg $ series_arg)
 
-(* Replay a flight-recorder journal (from `bench --journal-out`): the
-   header names the spec and the workload seed, the scripts are
-   regenerated (they are pure functions of the seed), and the recorded
-   per-replica delivery order is re-executed on the sequential core —
-   fingerprint equality is Proposition 4 checked end to end. Always a
-   full replay; --until then prints the named event. *)
-let replay_parallel_journal ~file recorded until =
-  let header = Obs.Journal.header recorded in
-  let str k =
-    match List.assoc_opt k header with
-    | Some (Obs.Json.Str s) -> s
-    | _ ->
-      Printf.eprintf "replay: %s: parallel journal header lacks %S\n" file k;
-      exit 1
-  in
-  let num k =
-    match List.assoc_opt k header with
-    | Some (Obs.Json.Num f) -> f
-    | _ ->
-      Printf.eprintf "replay: %s: parallel journal header lacks %S\n" file k;
-      exit 1
-  in
-  let spec = str "spec" in
-  let seed = int_of_float (num "seed") in
-  let domains = int_of_float (num "domains") in
-  let ops = int_of_float (num "ops") in
-  let query_ratio = num "query_ratio" in
-  let zipf = num "zipf" in
-  Printf.printf
-    "replaying          parallel %s (seed %d, %d domains, %d events recorded)\n"
-    spec seed domains
-    (Obs.Journal.length recorded);
-  let outcome =
-    if spec = "set" && zipf > 0.0 then begin
-      let module B = Throughput.Bench (Set_spec) in
-      let scripts =
-        Throughput.set_zipf_scripts ~seed ~domains ~ops ~skew:zipf
-          ~delete_ratio:0.3
-      in
-      B.replay_journal ~scripts ~final_read:Set_spec.Read recorded
-    end
-    else
-      match Registry.find spec with
-      | None ->
-        Printf.eprintf "replay: %s: unknown spec %S\n" file spec;
-        exit 1
-      | Some packed ->
+(* What a multicore description runs: the contended set workload when
+   zipf > 0, uniform scripts over the registry object otherwise. The
+   scripts are pure functions of the description, which is how a
+   flight-recorder journal replays from its header. *)
+module type BENCHED = sig
+  module A : Uqadt.S
+
+  val scripts : (A.update, A.query) Protocol.invocation list array
+  val final_read : A.query
+end
+
+let benched (p : Run_spec.parallel) : (module BENCHED) option =
+  if p.spec = "set" && p.zipf > 0.0 then
+    Some
+      (module struct
+        module A = Set_spec
+
+        let scripts =
+          Throughput.set_zipf_scripts ~seed:p.seed ~domains:p.domains
+            ~ops:p.ops ~skew:p.zipf ~delete_ratio:0.3
+
+        let final_read = Set_spec.Read
+      end)
+  else
+    Option.map
+      (fun packed ->
         let module A = (val packed : Uqadt.S) in
         let module B = Throughput.Bench (A) in
-        let scripts = B.uniform_scripts ~seed ~domains ~ops ~query_ratio in
-        B.replay_journal ~scripts
-          ~final_read:(A.random_query (Prng.create seed))
-          recorded
-  in
-  match outcome with
-  | Error msg ->
-    Printf.printf "replay FAILED: %s\n" msg;
-    exit 1
-  | Ok fp -> (
-    match until with
-    | Some k ->
-      if k < 0 || k >= Obs.Journal.length recorded then begin
-        Printf.eprintf
-          "replay: --until %d out of range (journal has %d events)\n" k
-          (Obs.Journal.length recorded);
-        exit 1
-      end;
-      Format.printf "replay OK through event %d@.event %d          %a@." k k
-        Obs.Journal.pp_event
-        (Obs.Journal.event recorded k)
-    | None ->
-      Printf.printf "replay OK          %d events, fingerprint %s\n"
-        (Obs.Journal.length recorded)
-        fp)
+        (module struct
+          module A = A
+
+          let scripts =
+            B.uniform_scripts ~seed:p.seed ~domains:p.domains ~ops:p.ops
+              ~query_ratio:p.query_ratio
+
+          let final_read = A.random_query (Prng.create p.seed)
+        end : BENCHED))
+      (Registry.find p.spec)
+
+let check_until recorded k =
+  if k < 0 || k >= Obs.Journal.length recorded then
+    fail "replay"
+      (Printf.sprintf "--until %d out of range (journal has %d events)" k
+         (Obs.Journal.length recorded));
+  Format.printf "replay OK through event %d@.event %d          %a@." k k
+    Obs.Journal.pp_event (Obs.Journal.event recorded k)
+
+let replay_ok recorded fp =
+  Printf.printf "replay OK          %d events, fingerprint %s\n"
+    (Obs.Journal.length recorded)
+    fp
+
+(* Replay a flight-recorder journal (from `bench --journal-out`): the
+   recorded per-replica delivery order is re-executed on the sequential
+   core — fingerprint equality is Proposition 4 checked end to end.
+   Always a full replay; --until then prints the named event. *)
+let replay_parallel ~file recorded until (p : Run_spec.parallel) =
+  Printf.printf
+    "replaying          parallel %s (seed %d, %d domains, %d events recorded)\n"
+    p.spec p.seed p.domains
+    (Obs.Journal.length recorded);
+  match benched p with
+  | None -> fail "replay" (Printf.sprintf "%s: unknown spec %S" file p.spec)
+  | Some (module X) -> (
+    let module B = Throughput.Bench (X.A) in
+    match
+      B.replay_journal ~scripts:X.scripts ~final_read:X.final_read recorded
+    with
+    | Error msg ->
+      Printf.printf "replay FAILED: %s\n" msg;
+      exit 1
+    | Ok fp -> (
+      match until with
+      | None -> replay_ok recorded fp
+      | Some k -> check_until recorded k))
 
 let replay_cmd =
   let doc =
@@ -2249,94 +735,42 @@ let replay_cmd =
       & info [] ~docv:"FILE" ~doc:"Event journal (JSONL) to replay.")
   in
   let until_arg =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "until" ] ~docv:"K"
-          ~doc:
-            "Verify the prefix up to event index $(docv) only and print that \
-             event — the index an online monitor names in a violation.")
+    opt_arg Arg.(some int) "until" "K" None
+      "Verify the prefix up to event index $(docv) only and print that \
+       event — the index an online monitor names in a violation."
   in
   let run file until =
     let recorded = load_journal ~cmd:"replay" file in
-    match List.assoc_opt "engine" (Obs.Journal.header recorded) with
-    | Some (Obs.Json.Str "parallel") ->
-      replay_parallel_journal ~file recorded until
-    | _ ->
-    let capture = Obs.Journal.create () in
-    let p =
-      match params_of_header ~journal:capture (Obs.Journal.header recorded) with
-      | exception Failure msg ->
-        Printf.eprintf "replay: %s: %s\n" file msg;
-        exit 1
-      | p -> p
-    in
-    let p =
-      match p.sample_interval with
-      | None -> p
-      | Some dt ->
-        (* A soak journal carries Alert events. Rebuild the sampler and
-           alert engine its header describes — over a fresh registry in
-           the capture bundle — so the replay fires, and journals, the
-           identical alert stream (the sampler schedules no engine
-           events, so the rest of the schedule is untouched). *)
-        let o = Obs.create ~journal:capture () in
-        let s = Obs.Series.sampler ~interval:dt ~registry:o.Obs.registry () in
-        let a = Obs.Alert.create p.rules in
-        Obs.Alert.attach a s ~on_fire:(fun fr ->
-            Obs.Journal.record capture
-              (Obs.Journal.Alert
-                 {
-                   time = fr.Obs.Alert.time;
-                   rule = Obs.Alert.rule_to_string fr.Obs.Alert.rule;
-                   series = fr.Obs.Alert.series;
-                   value = fr.Obs.Alert.value;
-                 }));
-        { p with obs = Some o; sampler = Some s }
-    in
-    let driver =
-      match List.find_opt (fun (n, _, _) -> n = p.protocol) protocols with
-      | Some (_, _, f) -> f
-      | None ->
-        Printf.eprintf "replay: %s: unknown protocol %S\n" file p.protocol;
-        exit 1
-    in
-    Printf.printf "replaying          %s (seed %d, %d events recorded)\n"
-      p.protocol p.seed
-      (Obs.Journal.length recorded);
-    driver p;
-    let first_diff = Obs.Journal.diff recorded capture in
-    let within i = match until with None -> true | Some k -> i <= k in
-    (match first_diff with
-    | Some (i, a, b) when within i ->
-      Printf.printf "replay DIVERGED at event %d\n  recorded: %s\n  replayed: %s\n"
-        i a b;
-      exit 1
-    | _ -> ());
-    match until with
-    | Some k ->
-      if k < 0 || k >= Obs.Journal.length recorded then begin
-        Printf.eprintf "replay: --until %d out of range (journal has %d events)\n"
-          k
-          (Obs.Journal.length recorded);
-        exit 1
-      end;
-      Format.printf "replay OK through event %d@.event %d          %a@." k k
-        Obs.Journal.pp_event
-        (Obs.Journal.event recorded k)
-    | None ->
-      let fp_rec = Obs.Journal.fingerprint recorded in
-      let fp_new = Obs.Journal.fingerprint capture in
-      if fp_rec <> fp_new then begin
-        let show = function Some s -> s | None -> "(none)" in
+    match spec_of_journal ~cmd:"replay" file recorded with
+    | Run_spec.Parallel p -> replay_parallel ~file recorded until p
+    | Run_spec.Sim spec -> (
+      let capture = Obs.Journal.create () in
+      Printf.printf "replaying          %s (seed %d, %d events recorded)\n"
+        spec.protocol spec.seed
+        (Obs.Journal.length recorded);
+      (match Run_driver.run ~journal:capture spec with
+      | Error msg -> fail "replay" (file ^ ": " ^ msg)
+      | Ok _ -> ());
+      (match Obs.Journal.diff recorded capture with
+      | Some (i, a, b)
+        when match until with None -> true | Some k -> i <= k ->
         Printf.printf
-          "replay FAILED: fingerprint mismatch (recorded %s, replayed %s)\n"
-          (show fp_rec) (show fp_new);
+          "replay DIVERGED at event %d\n  recorded: %s\n  replayed: %s\n" i a b;
         exit 1
-      end;
-      Printf.printf "replay OK          %d events, fingerprint %s\n"
-        (Obs.Journal.length recorded)
-        (match fp_rec with Some s -> s | None -> "(none)")
+      | _ -> ());
+      let show = Option.value ~default:"(none)" in
+      match until with
+      | Some k -> check_until recorded k
+      | None ->
+        let fp_rec = Obs.Journal.fingerprint recorded in
+        let fp_new = Obs.Journal.fingerprint capture in
+        if fp_rec <> fp_new then begin
+          Printf.printf
+            "replay FAILED: fingerprint mismatch (recorded %s, replayed %s)\n"
+            (show fp_rec) (show fp_new);
+          exit 1
+        end;
+        replay_ok recorded (show fp_rec))
   in
   Cmd.v (Cmd.info "replay" ~doc) Term.(const run $ file_arg $ until_arg)
 
@@ -2380,89 +814,80 @@ let diff_cmd =
   in
   Cmd.v (Cmd.info "diff" ~doc) Term.(const run $ file_a $ file_b)
 
-(* One bench execution with optional flight recording, shared by the
-   generic-spec and set+zipf workload paths of `bench`. The recorder is
-   attached iff any of --journal-out / --series-out / --monitor was
-   given; the rebuilt journal's header carries everything `ucsim
-   replay` needs to regenerate the scripts. *)
-module Bench_drive (A : Uqadt.S) = struct
-  module B = Throughput.Bench (A)
+let clip s = if String.length s <= 96 then s else String.sub s 0 93 ^ "..."
 
-  let exec ~spec_name ~seed ~domains ~ops ~query_ratio ~zipf ~mailbox ~batch
-      ~flush_window ~obs ~journal_out ~series_out ~monitors ~sample_interval
-      ~scripts ~final_read ~describe =
-    let recording =
-      journal_out <> None || series_out <> None || monitors <> []
-    in
-    let recorder =
-      if recording then Some (Obs.Recorder.create ~domains ()) else None
-    in
-    let journal_header =
-      if not recording then None
-      else
-        Some
-          [
-            ("engine", Obs.Json.Str "parallel");
-            ("spec", Obs.Json.Str spec_name);
-            ("seed", Obs.Json.Num (float_of_int seed));
-            ("domains", Obs.Json.Num (float_of_int domains));
-            ("ops", Obs.Json.Num (float_of_int ops));
-            ("query_ratio", Obs.Json.Num query_ratio);
-            ("zipf", Obs.Json.Num zipf);
-            ("batch", Obs.Json.Num (float_of_int batch));
-            ("flush_window", Obs.Json.Num (float_of_int flush_window));
-            ("mailbox", Obs.Json.Num (float_of_int mailbox));
-          ]
-    in
-    let v =
-      B.measure ~mailbox_capacity:mailbox ~batch_every:batch ~flush_window ?obs
-        ?recorder
-        ?monitor:(if monitors = [] then None else Some monitors)
-        ?journal_header ~domains ~final_read ~scripts ()
-    in
-    let r = B.row ~batch ~flush_window ~ops_per_domain:ops v in
-    let checks =
-      [
-        ("logs agree", string_of_bool v.B.logs_agree);
-        ("omega = ts-fold", string_of_bool v.B.omega_matches_fold);
-        ("replay = ts-fold", string_of_bool v.B.replay_matches_fold);
-        ("updates conserved", string_of_bool v.B.updates_conserved);
-        ( "sequential runner",
-          match v.B.runner_matches with
-          | None -> "n/a (non-commutative)"
-          | Some b -> string_of_bool b );
-      ]
-      @
-      match v.B.journal_replay with
-      | None -> []
-      | Some b -> [ ("journal replay", string_of_bool b) ]
-    in
-    describe r ~state:v.B.state_repr ~checks;
-    (match v.B.recording with
-    | None -> ()
-    | Some rc ->
-      (match rc.B.replay with
-      | Ok fp ->
-        Printf.printf "flight recorder    %d events, fingerprint %s\n"
-          (Obs.Journal.length rc.B.journal)
-          fp
-      | Error msg -> Printf.printf "flight recorder    REPLAY FAILED: %s\n" msg);
-      (match journal_out with
-      | None -> ()
-      | Some file ->
-        let oc = open_out file in
-        output_string oc (Obs.Journal.to_jsonl rc.B.journal);
-        close_out oc;
+(* One bench execution with optional flight recording. The recorder is
+   attached iff any of --journal-out / --series-out / --monitor was
+   given; the journal header is the run's {!Run_spec.parallel}
+   description, everything `ucsim replay` needs to regenerate the
+   scripts. *)
+let bench_exec (p : Run_spec.parallel) (module X : BENCHED) ~obs ~journal_out
+    ~series_out ~monitors ~sample_interval =
+  let module B = Throughput.Bench (X.A) in
+  let recording = journal_out <> None || series_out <> None || monitors <> [] in
+  let recorder =
+    if recording then Some (Obs.Recorder.create ~domains:p.domains ()) else None
+  in
+  let header = Run_spec.to_header (Parallel p) in
+  let v =
+    B.measure ~mailbox_capacity:p.mailbox ~batch_every:p.batch
+      ~flush_window:p.flush_window ?obs ?recorder
+      ?monitor:(if monitors = [] then None else Some monitors)
+      ?journal_header:(if recording then Some header else None)
+      ~domains:p.domains ~final_read:X.final_read ~scripts:X.scripts ()
+  in
+  let r =
+    B.row ~batch:p.batch ~flush_window:p.flush_window ~ops_per_domain:p.ops v
+  in
+  let checks =
+    [
+      ("logs agree", string_of_bool v.B.logs_agree);
+      ("omega = ts-fold", string_of_bool v.B.omega_matches_fold);
+      ("replay = ts-fold", string_of_bool v.B.replay_matches_fold);
+      ("updates conserved", string_of_bool v.B.updates_conserved);
+      ( "sequential runner",
+        match v.B.runner_matches with
+        | None -> "n/a (non-commutative)"
+        | Some b -> string_of_bool b );
+    ]
+    @
+    match v.B.journal_replay with
+    | None -> []
+    | Some b -> [ ("journal replay", string_of_bool b) ]
+  in
+  Printf.printf "spec               %s\n" r.Throughput.spec;
+  Printf.printf "domains            %d (machine recommends %d)\n"
+    r.Throughput.domains
+    (Domain.recommended_domain_count ());
+  Printf.printf "ops                %d total, %d per domain\n"
+    r.Throughput.total_ops r.Throughput.ops_per_domain;
+  Printf.printf "updates            %d\n" r.Throughput.updates;
+  Printf.printf "wall               %.4f s\n" r.Throughput.wall_s;
+  Printf.printf "throughput         %.0f ops/sec\n" r.Throughput.ops_per_sec;
+  Printf.printf "latency p50 / p99  %.2f / %.2f us\n" r.Throughput.p50_us
+    r.Throughput.p99_us;
+  Printf.printf "mailbox depth max  %d (stalls %d)\n"
+    r.Throughput.mailbox_max_depth r.Throughput.mailbox_stalls;
+  Printf.printf "converged state    %s\n" (clip v.B.state_repr);
+  List.iter (fun (k, v) -> Printf.printf "  %-22s %s\n" k v) checks;
+  (match v.B.recording with
+  | None -> ()
+  | Some rc -> (
+    (match rc.B.replay with
+    | Ok fp ->
+      Printf.printf "flight recorder    %d events, fingerprint %s\n"
+        (Obs.Journal.length rc.B.journal) fp
+    | Error msg -> Printf.printf "flight recorder    REPLAY FAILED: %s\n" msg);
+    Option.iter
+      (fun file ->
+        write_file file (Obs.Journal.to_jsonl rc.B.journal);
         Printf.printf "journal written    %s (%d events)\n" file
-          (Obs.Journal.length rc.B.journal));
-      (match series_out with
-      | None -> ()
-      | Some file ->
+          (Obs.Journal.length rc.B.journal))
+      journal_out;
+    Option.iter
+      (fun file ->
         let oc = open_out file in
-        let w =
-          Obs.Series.writer oc
-            ~meta:(Option.value ~default:[] journal_header)
-        in
+        let w = Obs.Series.writer oc ~meta:header in
         let store =
           Throughput.series_of_events ~interval:sample_interval
             ~sink:(Obs.Series.write_point w) rc.B.events
@@ -2470,15 +895,14 @@ module Bench_drive (A : Uqadt.S) = struct
         Obs.Series.close_writer w;
         close_out oc;
         Printf.printf "series written     %s (%d series)\n" file
-          (List.length (Obs.Series.list store)));
-      match rc.B.monitor with
-      | None -> ()
-      | Some mon ->
-        print_monitor_report ~criteria:monitors
-          ~events:(B.Mon.events_seen mon)
-          (B.Mon.violations mon));
-    r
-end
+          (List.length (Obs.Series.list store)))
+      series_out;
+    match rc.B.monitor with
+    | None -> ()
+    | Some mon ->
+      Run_driver.print_monitor_report ~criteria:monitors
+        ~events:(B.Mon.events_seen mon) (B.Mon.violations mon)));
+  r
 
 let bench_cmd =
   let doc =
@@ -2499,235 +923,163 @@ let bench_cmd =
           ~doc:"Object to bench (see `ucsim list` objects).")
   in
   let domains_arg =
-    Arg.(
-      value & opt int 4
-      & info [ "domains" ] ~docv:"N" ~doc:"Replica domains to spawn.")
+    opt_arg Arg.int "domains" "N" 4 "Replica domains to spawn."
   in
   let ops_arg =
-    Arg.(
-      value & opt int 10_000
-      & info [ "ops" ] ~docv:"OPS" ~doc:"Closed-loop operations per domain.")
+    opt_arg Arg.int "ops" "OPS" 10_000 "Closed-loop operations per domain."
   in
   let zipf_arg =
-    Arg.(
-      value & opt float 0.0
-      & info [ "zipf" ] ~docv:"S"
-          ~doc:
-            "Zipf skew for the contended set workload (set spec only; 0 = \
-             uniform random updates).")
+    opt_arg Arg.float "zipf" "S" 0.0
+      "Zipf skew for the contended set workload (set spec only; 0 = \
+       uniform random updates)."
   in
   let query_ratio_arg =
-    Arg.(
-      value & opt float 0.0
-      & info [ "query-ratio" ] ~docv:"R"
-          ~doc:"Fraction of invocations that are queries.")
+    opt_arg Arg.float "query-ratio" "R" 0.0
+      "Fraction of invocations that are queries."
   in
   let shards_arg =
-    Arg.(
-      value & opt int 1
-      & info [ "shards" ] ~docv:"S"
-          ~doc:
-            "Run the sharded object space (set spec) over $(docv) shards on a \
-             static consistent-hash ring, with the shard-aware per-shard \
-             differential as the verdict. 1 (the default) benches the \
-             single-object protocols.")
+    opt_arg Arg.int "shards" "S" 1
+      "Run the sharded object space (set spec) over $(docv) shards on a \
+       static consistent-hash ring, with the shard-aware per-shard \
+       differential as the verdict. 1 (the default) benches the \
+       single-object protocols."
   in
   let keys_arg =
-    Arg.(
-      value & opt int 1024
-      & info [ "keys" ] ~docv:"K"
-          ~doc:"Key domain of the sharded workload (with --shards > 1).")
+    opt_arg Arg.int "keys" "K" 1024
+      "Key domain of the sharded workload (with --shards > 1)."
   in
   let fanout_arg =
-    Arg.(
-      value & opt int 3
-      & info [ "fanout" ] ~docv:"W"
-          ~doc:
-            "Maximum keys per update batch in the sharded workload (with \
-             --shards > 1).")
+    opt_arg Arg.int "fanout" "W" 3
+      "Maximum keys per update batch in the sharded workload (with \
+       --shards > 1)."
   in
   let mailbox_arg =
-    Arg.(
-      value & opt int 1024
-      & info [ "mailbox" ] ~docv:"CAP" ~doc:"Mailbox capacity (frames).")
+    opt_arg Arg.int "mailbox" "CAP" 1024 "Mailbox capacity (frames)."
   in
   let batch_arg =
-    Arg.(
-      value & opt int 1
-      & info [ "batch" ] ~docv:"K" ~doc:"Broadcast every K local updates.")
+    opt_arg Arg.int "batch" "K" 1 "Broadcast every K local updates."
   in
   let flush_window_arg =
-    Arg.(
-      value & opt int 0
-      & info [ "flush-window" ] ~docv:"W"
-          ~doc:
-            "Force-flush the per-destination send buffers every $(docv) local \
-             invocations, bounding how long a coalesced message can wait for \
-             its buffer to reach the --batch threshold (0 = no window; \
-             flushes happen only on the threshold and at script end).")
+    opt_arg Arg.int "flush-window" "W" 0
+      "Force-flush the per-destination send buffers every $(docv) local \
+       invocations, bounding how long a coalesced message can wait for \
+       its buffer to reach the --batch threshold (0 = no window; \
+       flushes happen only on the threshold and at script end)."
   in
   let json_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "json" ] ~docv:"FILE" ~doc:"Also write the row as JSON.")
+    opt_arg Arg.(some string) "json" "FILE" None "Also write the row as JSON."
   in
-  let obs_arg =
-    Arg.(value & flag & info [ "obs" ] ~doc:"Print per-domain telemetry rows.")
-  in
+  let obs_arg = flag_arg "obs" "Print per-domain telemetry rows." in
   let journal_out_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "journal-out" ] ~docv:"FILE"
-          ~doc:
-            "Flight-record the run and write the merged per-domain event \
-             stream as a replayable journal (re-execute with `ucsim \
-             replay`).")
+    opt_arg Arg.(some string) "journal-out" "FILE" None
+      "Flight-record the run and write the merged per-domain event \
+       stream as a replayable journal (re-execute with `ucsim \
+       replay`)."
   in
   let series_out_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "series-out" ] ~docv:"FILE"
-          ~doc:
-            "Flight-record the run and stream wall-clock per-domain time \
-             series (JSONL; render with `ucsim report --series`).")
+    opt_arg Arg.(some string) "series-out" "FILE" None
+      "Flight-record the run and stream wall-clock per-domain time \
+       series (JSONL; render with `ucsim report --series`)."
   in
   let monitor_arg =
-    Arg.(
-      value & opt monitors_conv []
-      & info [ "monitor" ] ~docv:"CRITERIA"
-          ~doc:
-            "Comma-separated consistency criteria (uc, ec, pc) checked \
-             online over the merged flight-recorder stream; the first \
-             violating event is reported with its journal index. (pc \
-             explores the cross-process interleaving automaton — \
-             exponential in concurrent updates, so keep --ops small.)")
+    opt_arg Run_driver.monitors_conv "monitor" "CRITERIA" []
+      "Comma-separated consistency criteria (uc, ec, pc) checked \
+       online over the merged flight-recorder stream; the first \
+       violating event is reported with its journal index. (pc \
+       explores the cross-process interleaving automaton — \
+       exponential in concurrent updates, so keep --ops small.)"
   in
   let sample_interval_arg =
-    Arg.(
-      value & opt float 0.01
-      & info [ "sample-interval" ] ~docv:"DT"
-          ~doc:"Wall-clock series sampling cadence in seconds.")
+    opt_arg Arg.float "sample-interval" "DT" 0.01
+      "Wall-clock series sampling cadence in seconds."
   in
   let run spec domains ops zipf seed query_ratio shards keys fanout mailbox
       batch flush_window json obs_flag journal_out series_out monitors
       sample_interval =
     let obs = if obs_flag then Some (Obs.create ()) else None in
-    let clip s =
-      if String.length s <= 96 then s else String.sub s 0 93 ^ "..."
-    in
     if
       shards > 1
       && (journal_out <> None || series_out <> None || monitors <> [])
-    then begin
-      Printf.eprintf
-        "bench: the flight recorder targets the one-core-per-domain engine; \
+    then
+      fail "bench"
+        "the flight recorder targets the one-core-per-domain engine; \
          --shards > 1 cannot be combined with --journal-out, --series-out \
-         or --monitor\n";
-      exit 1
-    end;
-    if shards > 1 then begin
-      (* The sharded space runs the set spec; per-shard Prop 4 verdict. *)
-      let module B = Throughput.Sharded (Set_spec) (Update_codec.For_set) in
-      let skew = if zipf > 0.0 then zipf else 1.1 in
-      let scripts =
-        B.zipf_scripts ~seed ~domains ~ops ~keys ~skew ~fanout ~query_ratio
-      in
-      let v =
-        B.measure ~mailbox_capacity:mailbox ~batch_every:batch ~flush_window
-          ?obs ~shards ~domains ~scripts ()
-      in
-      let r = B.row ~keys ~skew ~fanout v in
-      Printf.printf "spec               %s (sharded)\n" r.Throughput.shard_spec;
-      Printf.printf "shards             %d (static ring)\n" r.Throughput.shards;
-      Printf.printf "domains            %d (machine recommends %d)\n"
-        r.Throughput.shard_domains
-        (Domain.recommended_domain_count ());
-      Printf.printf "keys / skew / fan  %d / %.2f / %d\n" r.Throughput.keys
-        r.Throughput.skew r.Throughput.fanout;
-      Printf.printf "ops                %d total, %d keyed sub-updates\n"
-        r.Throughput.shard_total_ops r.Throughput.keyed_updates;
-      Printf.printf "wall               %.4f s\n" r.Throughput.shard_wall_s;
-      Printf.printf "throughput         %.0f ops/sec\n"
-        r.Throughput.shard_ops_per_sec;
-      Printf.printf "shard log spread   min %d / max %d\n"
-        r.Throughput.shard_log_min r.Throughput.shard_log_max;
-      Printf.printf "converged state    %s\n" (clip v.B.state_repr);
-      List.iter
-        (fun (k, vv) -> Printf.printf "  %-22s %s\n" k vv)
-        [
-          ("per-shard logs agree", string_of_bool v.B.shard_logs_agree);
-          ("omega = keyed fold", string_of_bool v.B.omega_matches_fold);
-          ("snapshot = keyed fold", string_of_bool v.B.snapshot_matches_fold);
-          ("updates conserved", string_of_bool v.B.updates_conserved);
-        ];
-      Printf.printf "differential       %s\n"
-        (if r.Throughput.shard_ok then "PASS" else "FAIL");
-      Option.iter (fun path -> Throughput.emit_shard_json path [ r ]) json;
-      Option.iter
-        (fun o ->
-          Obs.finalize o ~live:[];
-          Format.printf "telemetry:@.%a@." Obs.Registry.pp o.Obs.registry)
-        obs;
-      if not r.Throughput.shard_ok then exit 1
-    end
-    else begin
-    let describe (r : Throughput.row) ~state ~checks =
-      Printf.printf "spec               %s\n" r.Throughput.spec;
-      Printf.printf "domains            %d (machine recommends %d)\n"
-        r.Throughput.domains
-        (Domain.recommended_domain_count ());
-      Printf.printf "ops                %d total, %d per domain\n"
-        r.Throughput.total_ops r.Throughput.ops_per_domain;
-      Printf.printf "updates            %d\n" r.Throughput.updates;
-      Printf.printf "wall               %.4f s\n" r.Throughput.wall_s;
-      Printf.printf "throughput         %.0f ops/sec\n" r.Throughput.ops_per_sec;
-      Printf.printf "latency p50 / p99  %.2f / %.2f us\n" r.Throughput.p50_us
-        r.Throughput.p99_us;
-      Printf.printf "mailbox depth max  %d (stalls %d)\n"
-        r.Throughput.mailbox_max_depth r.Throughput.mailbox_stalls;
-      Printf.printf "converged state    %s\n" (clip state);
-      List.iter (fun (k, v) -> Printf.printf "  %-22s %s\n" k v) checks;
-      Printf.printf "differential       %s\n"
-        (if r.Throughput.ok then "PASS" else "FAIL")
-    in
-    let row =
-      if spec = "set" && zipf > 0.0 then begin
-        let module D = Bench_drive (Set_spec) in
+         or --monitor";
+    let ok =
+      if shards > 1 then begin
+        (* The sharded space runs the set spec; per-shard Prop 4 verdict. *)
+        let module B = Throughput.Sharded (Set_spec) (Update_codec.For_set) in
+        let skew = if zipf > 0.0 then zipf else 1.1 in
         let scripts =
-          Throughput.set_zipf_scripts ~seed ~domains ~ops ~skew:zipf
-            ~delete_ratio:0.3
+          B.zipf_scripts ~seed ~domains ~ops ~keys ~skew ~fanout ~query_ratio
         in
-        D.exec ~spec_name:"set" ~seed ~domains ~ops ~query_ratio ~zipf
-          ~mailbox ~batch ~flush_window ~obs ~journal_out ~series_out
-          ~monitors ~sample_interval ~scripts ~final_read:Set_spec.Read
-          ~describe
+        let v =
+          B.measure ~mailbox_capacity:mailbox ~batch_every:batch ~flush_window
+            ?obs ~shards ~domains ~scripts ()
+        in
+        let r = B.row ~keys ~skew ~fanout v in
+        Printf.printf "spec               %s (sharded)\n"
+          r.Throughput.shard_spec;
+        Printf.printf "shards             %d (static ring)\n"
+          r.Throughput.shards;
+        Printf.printf "domains            %d (machine recommends %d)\n"
+          r.Throughput.shard_domains
+          (Domain.recommended_domain_count ());
+        Printf.printf "keys / skew / fan  %d / %.2f / %d\n" r.Throughput.keys
+          r.Throughput.skew r.Throughput.fanout;
+        Printf.printf "ops                %d total, %d keyed sub-updates\n"
+          r.Throughput.shard_total_ops r.Throughput.keyed_updates;
+        Printf.printf "wall               %.4f s\n" r.Throughput.shard_wall_s;
+        Printf.printf "throughput         %.0f ops/sec\n"
+          r.Throughput.shard_ops_per_sec;
+        Printf.printf "shard log spread   min %d / max %d\n"
+          r.Throughput.shard_log_min r.Throughput.shard_log_max;
+        Printf.printf "converged state    %s\n" (clip v.B.state_repr);
+        List.iter
+          (fun (k, vv) -> Printf.printf "  %-22s %s\n" k vv)
+          [
+            ("per-shard logs agree", string_of_bool v.B.shard_logs_agree);
+            ("omega = keyed fold", string_of_bool v.B.omega_matches_fold);
+            ("snapshot = keyed fold", string_of_bool v.B.snapshot_matches_fold);
+            ("updates conserved", string_of_bool v.B.updates_conserved);
+          ];
+        Option.iter (fun path -> Throughput.emit_shard_json path [ r ]) json;
+        r.Throughput.shard_ok
       end
       else begin
-        let packed =
-          match Registry.find spec with
-          | Some p -> p
-          | None -> assert false (* enum converter already validated *)
+        (* zipf shapes only the set workload; elsewhere it is recorded as 0 *)
+        let zipf = if spec = "set" then zipf else 0.0 in
+        let p =
+          {
+            Run_spec.spec;
+            seed;
+            domains;
+            ops;
+            query_ratio;
+            zipf;
+            batch;
+            flush_window;
+            mailbox;
+          }
         in
-        let module A = (val packed : Uqadt.S) in
-        let module D = Bench_drive (A) in
-        let scripts = D.B.uniform_scripts ~seed ~domains ~ops ~query_ratio in
-        let final_read = A.random_query (Prng.create seed) in
-        D.exec ~spec_name:spec ~seed ~domains ~ops ~query_ratio ~zipf:0.0
-          ~mailbox ~batch ~flush_window ~obs ~journal_out ~series_out
-          ~monitors ~sample_interval ~scripts ~final_read ~describe
+        let row =
+          match benched p with
+          | None -> assert false (* the enum converter validated the spec *)
+          | Some x ->
+            bench_exec p x ~obs ~journal_out ~series_out ~monitors
+              ~sample_interval
+        in
+        Option.iter (fun path -> Throughput.emit_json path [ row ]) json;
+        row.Throughput.ok
       end
     in
-    Option.iter (fun path -> Throughput.emit_json path [ row ]) json;
+    Printf.printf "differential       %s\n" (if ok then "PASS" else "FAIL");
     Option.iter
       (fun o ->
         Obs.finalize o ~live:[];
         Format.printf "telemetry:@.%a@." Obs.Registry.pp o.Obs.registry)
       obs;
-    if not row.Throughput.ok then exit 1
-    end
+    if not ok then exit 1
   in
   Cmd.v (Cmd.info "bench" ~doc)
     Term.(
@@ -2740,8 +1092,12 @@ let list_cmd =
   let doc = "List protocols and experiments." in
   let run () =
     Printf.printf "protocols:\n";
-    List.iter (fun (name, desc, _) -> Printf.printf "  %-12s %s\n" name desc) protocols;
-    Printf.printf "experiments: %s\n" (String.concat " " experiment_ids);
+    List.iter
+      (fun (name, desc) -> Printf.printf "  %-12s %s\n" name desc)
+      Run_driver.protocols;
+    Printf.printf "experiments: %s\n"
+      (String.concat " "
+         (List.map (fun (id, _, _) -> id) (Experiments.all ~seed:0 ())));
     Printf.printf "objects:     %s\n" (String.concat " " Registry.names)
   in
   Cmd.v (Cmd.info "list" ~doc) Term.(const run $ const ())

@@ -906,26 +906,25 @@ let divergence_distribution ~seed =
     (Stats.histogram ~buckets:10 samples)
 
 let all ?(markdown = false) ~seed () =
-  let render = if markdown then Table.render_markdown else Table.render in
+  let render t = if markdown then Table.render_markdown t else Table.render t in
+  let seeded f () = render (f ~seed) in
   [
-    ("F1", "Figure 1: consistency-criteria matrix", render (fig1 ()));
-    ("F2", "Figure 2: PC but not EC", fig2 ());
-    ("P1", "Proposition 1: pipelined convergence is impossible wait-free", render (prop1 ~seed));
-    ("P4", "Proposition 4: exhaustive model check", render (prop4_modelcheck ()));
-    ("T6", "Section VI: set semantics under conflict", render (set_comparison ~seed));
-    ( "T6b",
-      "Invariant preservation: overdraft protection",
-      render (invariant_preservation ~seed) );
-    ("T7", "Empirical protocol × criteria matrix", render (protocol_criteria ~seed));
-    ("S1", "Client sessions and fail-over", render (sessions ~seed));
-    ("C1", "Message complexity", render (message_complexity ~seed));
-    ("C2", "Query replay cost", render (query_cost ~seed));
-    ("C3", "Log growth and stability GC", render (log_gc ~seed));
-    ("C4", "Operation latency vs network delay", render (latency_vs_rtt ~seed));
-    ("C4b", "Availability under partition", render (availability ~seed));
-    ("C5", "CRDT fast path", render (crdt_fastpath ~seed));
-    ("C6", "Online monitor detection latency", render (monitor_latency ~seed));
-    ("A1", "Undo-based repair vs replay", render (undo_ablation ~seed));
-    ("A2", "Convergence lag across networks", render (convergence_sweep ~seed));
-    ("A3", "Distribution of the inconsistency window", divergence_distribution ~seed);
+    ("F1", "Figure 1: consistency-criteria matrix", fun () -> render (fig1 ()));
+    ("F2", "Figure 2: PC but not EC", fig2);
+    ("P1", "Proposition 1: pipelined convergence is impossible wait-free", seeded prop1);
+    ("P4", "Proposition 4: exhaustive model check", fun () -> render (prop4_modelcheck ()));
+    ("T6", "Section VI: set semantics under conflict", seeded set_comparison);
+    ("T6b", "Invariant preservation: overdraft protection", seeded invariant_preservation);
+    ("T7", "Empirical protocol × criteria matrix", seeded protocol_criteria);
+    ("S1", "Client sessions and fail-over", seeded sessions);
+    ("C1", "Message complexity", seeded message_complexity);
+    ("C2", "Query replay cost", seeded query_cost);
+    ("C3", "Log growth and stability GC", seeded log_gc);
+    ("C4", "Operation latency vs network delay", seeded latency_vs_rtt);
+    ("C4b", "Availability under partition", seeded availability);
+    ("C5", "CRDT fast path", seeded crdt_fastpath);
+    ("C6", "Online monitor detection latency", seeded monitor_latency);
+    ("A1", "Undo-based repair vs replay", seeded undo_ablation);
+    ("A2", "Convergence lag across networks", seeded convergence_sweep);
+    ("A3", "Distribution of the inconsistency window", fun () -> divergence_distribution ~seed);
   ]

@@ -96,8 +96,8 @@ val divergence_distribution : seed:int -> string
     unbounded-but-finite inconsistency window is what "eventual" means
     quantitatively. *)
 
-val all : ?markdown:bool -> seed:int -> unit -> (string * string * string) list
-(** [(experiment id, title, rendered table)] for every experiment, in
-    DESIGN.md order — the generator behind EXPERIMENTS.md and
-    [bench_output.txt]. [markdown] renders GitHub tables instead of
-    ASCII boxes. *)
+val all : ?markdown:bool -> seed:int -> unit -> (string * string * (unit -> string)) list
+(** [(experiment id, title, render)] for every experiment, in DESIGN.md
+    order — the generator behind EXPERIMENTS.md and [bench_output.txt].
+    Only the experiments whose [render] is called run. [markdown]
+    renders GitHub tables instead of ASCII boxes. *)

@@ -113,7 +113,7 @@ let receive t ~src msg =
       end
     | Some _ | None -> ())
 
-let receive_batch t ~src msgs = List.iter (receive t ~src) msgs
+include Protocol.Defaults (struct type nonrec t = t type nonrec message = message let receive = receive end)
 
 let message_wire_size = function
   | Collect_req { rid } -> 1 + Wire.varint_size rid
@@ -134,7 +134,3 @@ let log_length _t = 0
 let metadata_bytes t = Timestamp.wire_size t.current_ts + Wire.varint_size (abs t.current_value)
 
 let certificate _t = None
-
-let snapshot _t = None
-
-let absorb _t _s = false

@@ -18,7 +18,7 @@ module Make (A : Uqadt.S) = struct
 
   let query t q ~on_result = on_result (A.eval t.state q)
 
-  let receive_batch t ~src msgs = List.iter (receive t ~src) msgs
+  include Protocol.Defaults (struct type nonrec t = t type nonrec message = message let receive = receive end)
 
   let message_wire_size = A.update_wire_size
 
@@ -29,10 +29,6 @@ module Make (A : Uqadt.S) = struct
   let metadata_bytes _t = 0
 
   let certificate _t = None
-
-  let snapshot _t = None
-
-  let absorb _t _s = false
 
   let current_state t = t.state
 end

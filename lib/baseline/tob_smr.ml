@@ -92,7 +92,7 @@ module Make (A : Uqadt.S) = struct
      sequence, so reads are sequentially consistent (but may lag). *)
   let query t q ~on_result = on_result (A.eval t.state q)
 
-  let receive_batch t ~src msgs = List.iter (receive t ~src) msgs
+  include Protocol.Defaults (struct type nonrec t = t type nonrec message = message let receive = receive end)
 
   let message_wire_size = function
     | Update { ts; update = u } -> Timestamp.wire_size ts + A.update_wire_size u
@@ -114,8 +114,4 @@ module Make (A : Uqadt.S) = struct
   let certificate t = Some (List.rev t.applied_rev)
 
   let stable_prefix_length t = t.applied_len
-
-  let snapshot _t = None
-
-  let absorb _t _s = false
 end

@@ -12,8 +12,8 @@
     {!Generic.S}, the signature both log cores implement, so the
     explorer's checkpointed replay works identically over the oplog
     core ({!Generic.Make}) and the seed list core
-    ({!Generic_ref.Make}) — which is how [ucsim modelcheck --log-core]
-    A/Bs them under the same engine. *)
+    ({!Generic_ref.Make}) — which is how the model-check suite A/Bs
+    them under the same engine. *)
 
 (** Adapters for any Algorithm 1-shaped replica: instantiate with the
     spec, its update codec, and the core ({!Generic.Make (A)} or

@@ -98,7 +98,7 @@ module Make (A : Uqadt.S) = struct
     t.ctx.Protocol.count_replay (Oplog.length t.tail);
     on_result (A.eval state q)
 
-  let receive_batch t ~src msgs = List.iter (receive t ~src) msgs
+  include Protocol.Defaults (struct type nonrec t = t type nonrec message = message let receive = receive end)
 
   let message_wire_size = function
     | Update { ts; update = u } -> Timestamp.wire_size ts + A.update_wire_size u
@@ -118,10 +118,6 @@ module Make (A : Uqadt.S) = struct
   (* The compacted prefix is discarded, so no full linearization
      certificate can be produced. *)
   let certificate _t = None
-
-  let snapshot _t = None
-
-  let absorb _t _s = false
 
   let compacted t = t.compacted
 end

@@ -60,7 +60,7 @@ module Make (A : Uqadt.S) = struct
     t.ctx.Protocol.count_replay t.log_len;
     on_result (A.eval state q)
 
-  let receive_batch t ~src msgs = List.iter (receive t ~src) msgs
+  include Protocol.Defaults (struct type nonrec t = t type nonrec message = message let receive = receive end)
 
   let message_wire_size { ts; update = u } =
     Timestamp.wire_size ts + A.update_wire_size u
@@ -77,10 +77,6 @@ module Make (A : Uqadt.S) = struct
       0 t.log
 
   let certificate t = Some (List.map (fun (_, origin, u) -> (origin, u)) t.log)
-
-  let snapshot _t = None
-
-  let absorb _t _s = false
 
   let message_update { update = u; _ } = u
 

@@ -13,7 +13,8 @@
     {- the C2 experiment and the bechamel benchmarks keep a
        paper-faithful "naive full replay" row to measure the
        optimisations against;}
-    {- [ucsim --log-core list] A/Bs the two cores from the CLI.}}
+    {- the model-check suite A/Bs the two cores under one explorer and
+       demands identical executions and failure counts.}}
 
     Its [protocol_name] is ["universal-list"]; behaviourally it is
     observably identical to {!Generic} (same total order, same

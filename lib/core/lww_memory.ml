@@ -36,7 +36,7 @@ let query t (Memory_spec.Read x) ~on_result =
   | Some (_, v) -> on_result v
   | None -> on_result Memory_spec.initial_value
 
-let receive_batch t ~src msgs = List.iter (receive t ~src) msgs
+include Protocol.Defaults (struct type nonrec t = t type nonrec message = message let receive = receive end)
 
 let message_wire_size { ts; x; v } =
   Timestamp.wire_size ts + Wire.pair_size (abs x) (abs v)
@@ -53,9 +53,5 @@ let metadata_bytes t =
     t.mem 0
 
 let certificate _t = None
-
-let snapshot _t = None
-
-let absorb _t _s = false
 
 let register_count t = Support.Int_map.cardinal t.mem

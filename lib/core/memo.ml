@@ -44,7 +44,7 @@ module Make (A : Uqadt.S) = struct
     t.ctx.Protocol.count_replay steps;
     on_result (A.eval state q)
 
-  let receive_batch t ~src msgs = List.iter (receive t ~src) msgs
+  include Protocol.Defaults (struct type nonrec t = t type nonrec message = message let receive = receive end)
 
   let message_wire_size { ts; update = u } =
     Timestamp.wire_size ts + A.update_wire_size u
@@ -62,8 +62,4 @@ module Make (A : Uqadt.S) = struct
          (Oplog.fold (fun acc e -> (e.Oplog.origin, e.Oplog.payload) :: acc) [] t.log))
 
   let snapshots_live t = Oplog.checkpoints_live t.log
-
-  let snapshot _t = None
-
-  let absorb _t _s = false
 end

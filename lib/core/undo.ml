@@ -79,7 +79,7 @@ module Make (A : Undoable.S) = struct
     (* The current state is maintained incrementally: no replay at all. *)
     on_result (A.eval t.state q)
 
-  let receive_batch t ~src msgs = List.iter (receive t ~src) msgs
+  include Protocol.Defaults (struct type nonrec t = t type nonrec message = message let receive = receive end)
 
   let message_wire_size { ts; update = u } =
     Timestamp.wire_size ts + A.update_wire_size u
@@ -98,8 +98,4 @@ module Make (A : Undoable.S) = struct
          (Oplog.fold (fun acc e -> (e.Oplog.origin, e.Oplog.payload.u) :: acc) [] t.log))
 
   let repairs t = t.repairs
-
-  let snapshot _t = None
-
-  let absorb _t _s = false
 end

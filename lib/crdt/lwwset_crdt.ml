@@ -57,7 +57,7 @@ let query t Set_spec.Read ~on_result =
   in
   on_result s
 
-let receive_batch t ~src msgs = List.iter (receive t ~src) msgs
+include Protocol.Defaults (struct type nonrec t = t type nonrec message = message let receive = receive end)
 
 let message_wire_size { ts; element; adding = _ } =
   Timestamp.wire_size ts + Wire.varint_size (abs element) + 1
@@ -75,7 +75,3 @@ let metadata_bytes t =
     t.slots 0
 
 let certificate _t = None
-
-let snapshot _t = None
-
-let absorb _t _s = false

@@ -68,7 +68,7 @@ let query t Set_spec.Read ~on_result =
 
 let tag_bytes { origin; serial } = Wire.pair_size origin serial
 
-let receive_batch t ~src msgs = List.iter (receive t ~src) msgs
+include Protocol.Defaults (struct type nonrec t = t type nonrec message = message let receive = receive end)
 
 let message_wire_size { vc; op } =
   Vector_clock.wire_size vc
@@ -91,9 +91,5 @@ let metadata_bytes t =
     t.tags 0
 
 let certificate _t = None
-
-let snapshot _t = None
-
-let absorb _t _s = false
 
 let live_tags t = Support.Int_map.fold (fun _ s acc -> acc + Tag_set.cardinal s) t.tags 0

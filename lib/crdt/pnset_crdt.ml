@@ -32,7 +32,7 @@ let query t Set_spec.Read ~on_result =
   in
   on_result present
 
-let receive_batch t ~src msgs = List.iter (receive t ~src) msgs
+include Protocol.Defaults (struct type nonrec t = t type nonrec message = message let receive = receive end)
 
 let message_wire_size { element; delta } = Wire.varint_size (abs element) + 1 + abs delta
 
@@ -46,9 +46,5 @@ let metadata_bytes t =
     t.counts 0
 
 let certificate _t = None
-
-let snapshot _t = None
-
-let absorb _t _s = false
 
 let count t element = Option.value ~default:0 (Support.Int_map.find_opt element t.counts)

@@ -32,7 +32,7 @@ module Lwwreg = struct
   let query t Register_spec.Read ~on_result =
     on_result (match t.current with None -> Register_spec.initial | Some (_, v) -> v)
 
-  let receive_batch t ~src msgs = List.iter (receive t ~src) msgs
+  include Protocol.Defaults (struct type nonrec t = t type nonrec message = message let receive = receive end)
 
   let message_wire_size { ts; value } = Timestamp.wire_size ts + Wire.varint_size (abs value)
 
@@ -44,10 +44,6 @@ module Lwwreg = struct
     match t.current with None -> 0 | Some (ts, v) -> Timestamp.wire_size ts + Wire.varint_size (abs v)
 
   let certificate _t = None
-
-  let snapshot _t = None
-
-  let absorb _t _s = false
 end
 
 module Mvreg_spec = struct

@@ -36,7 +36,7 @@ module Make (L : LATTICE) = struct
 
   let query t q ~on_result = on_result (L.read t.payload q)
 
-  let receive_batch t ~src msgs = List.iter (receive t ~src) msgs
+  include Protocol.Defaults (struct type nonrec t = t type nonrec message = message let receive = receive end)
 
   let message_wire_size = L.payload_bytes
 
@@ -47,10 +47,6 @@ module Make (L : LATTICE) = struct
   let metadata_bytes t = L.payload_bytes t.payload
 
   let certificate _t = None
-
-  let snapshot _t = None
-
-  let absorb _t _s = false
 
   let payload t = t.payload
 end

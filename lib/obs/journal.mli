@@ -87,7 +87,7 @@ val create : ?header:(string * Json.t) list -> unit -> t
 
 val set_header : t -> (string * Json.t) list -> unit
 (** Replace the self-description fields serialized on the header line
-    (seed, protocol, log-core choice, …). The ["journal"] and
+    (seed, protocol, …; see [Run_spec]). The ["journal"] and
     ["version"] discriminators are added at serialization time. *)
 
 val header : t -> (string * Json.t) list

@@ -87,7 +87,7 @@ let event_json = function
 (* Perfetto metadata events: ph:"M" rows are not rendered on the
    timeline; "process_name" labels each replica track and a
    "ucsim_config" row carries the run's self-description (seed,
-   log-core choice, batch window, …) so a trace file alone identifies
+   protocol, batch window, …) so a trace file alone identifies
    the run that produced it. *)
 let meta_json ?(meta = []) ?replicas () =
   let name_row ~pid name args =

@@ -15,7 +15,7 @@ val to_json :
     is given, one [ph:"M"] "process_name" metadata event labels each
     replica's track; when [meta] is non-empty, a [ph:"M"]
     "ucsim_config" metadata event carries it as [args] — seed, replica
-    count, log-core choice, batch window — making the trace file
+    count, protocol, batch window — making the trace file
     self-describing. Neither adds renderable events. *)
 
 val pp_span_dump : Format.formatter -> Span.t -> unit

@@ -56,3 +56,15 @@ module type PROTOCOL = sig
       state (a rejoiner's crash-time log survives the merge). Returns
       [false] when unsupported or the payload does not decode. *)
 end
+
+module Defaults (R : sig
+  type t
+  type message
+
+  val receive : t -> src:int -> message -> unit
+end) =
+struct
+  let receive_batch t ~src msgs = List.iter (R.receive t ~src) msgs
+  let snapshot (_ : R.t) = None
+  let absorb (_ : R.t) (_ : string) = false
+end

@@ -97,3 +97,20 @@ module type PROTOCOL = sig
       requires. Returns [false] when the protocol does not support
       snapshots or the payload fails to decode. *)
 end
+
+(** The one default for per-protocol boilerplate: [receive_batch] as
+    per-message [receive] in list order, and the [snapshot = None] /
+    [absorb = false] pair of a protocol without a persistence codec.
+    Include it after [receive]:
+    [include Protocol.Defaults (struct type nonrec t = t
+    type nonrec message = message let receive = receive end)]. *)
+module Defaults (R : sig
+  type t
+  type message
+
+  val receive : t -> src:int -> message -> unit
+end) : sig
+  val receive_batch : R.t -> src:int -> R.message list -> unit
+  val snapshot : R.t -> string option
+  val absorb : R.t -> string -> bool
+end

@@ -36,6 +36,6 @@ let tests =
     Alcotest.test_case "every experiment renders non-empty" `Slow (fun () ->
         List.iter
           (fun (id, _, body) ->
-            Alcotest.(check bool) (id ^ " non-empty") true (String.length body > 40))
+            Alcotest.(check bool) (id ^ " non-empty") true (String.length (body ()) > 40))
           (Experiments.all ~seed:42 ()));
   ]

@@ -92,4 +92,31 @@ let tests =
         Alcotest.(check int) "EC failures" 0 (failures_of r.M.failures Criteria.EC);
         Alcotest.(check bool) "has UC failures" true
           (failures_of r.M.failures Criteria.UC > 0));
+    (* The array-backed Oplog core against the seed's cons-list core
+       ([Generic_ref]) under the same explorer: both cores exchange
+       identical messages, so every schedule, verdict and failure count
+       must agree. *)
+    Alcotest.test_case "Oplog core and list core agree on the race and counter scripts"
+      `Slow (fun () ->
+        let agree (type u q o)
+            (module A : Uqadt.S with type update = u and type query = q and type output = o)
+            ~scripts ~final_read =
+          let module Arr = Model_check.Make (Generic.Make (A)) in
+          let module Ref = Model_check.Make (Generic_ref.Make (A)) in
+          let a = Arr.explore ~max_crashes:1 ~scripts ~final_read () in
+          let b = Ref.explore ~max_crashes:1 ~scripts ~final_read () in
+          Alcotest.(check bool) "exhaustive" true (a.Arr.exhaustive && b.Ref.exhaustive);
+          Alcotest.(check int) "executions" a.Arr.executions b.Ref.executions;
+          List.iter
+            (fun (c, k) ->
+              Alcotest.(check int) (Criteria.name c ^ " failures") k (failures_of b.Ref.failures c))
+            a.Arr.failures
+        in
+        agree (module Set_spec) ~scripts:race_scripts ~final_read:Set_spec.Read;
+        agree
+          (module Counter_spec)
+          ~scripts:
+            (Array.init 2 (fun pid ->
+                 List.init 2 (fun i -> Protocol.Invoke_update (Counter_spec.Add ((pid * 2) + i + 1)))))
+          ~final_read:Counter_spec.Value);
   ]
