@@ -15,6 +15,13 @@
    query cost, checks that all three cores answer the final read
    identically, and writes the table to BENCH_oplog.json.
 
+   A second table isolates [Oplog.insert] itself: a 6,000-entry log
+   with checkpoints every 32 entries (warm, so 187 are live) takes 2,000
+   inserts that each land exactly [shift] entries before the tail, for
+   shift 0 (append), 256 and 4,096, and reports ns and minor-heap words
+   per insert (median of 5 runs). The log's capacity already covers the
+   inserts, so the words column is the insert path's own allocation.
+
    At size 512 the sweep enforces the refactor's acceptance criterion:
    the checkpointed oplog core must answer queries at least 5x faster
    than the seed list core. `--smoke` restricts the sweep to the sizes
@@ -116,18 +123,73 @@ let sweep sizes =
       cells)
     sizes
 
-let emit_json path cells =
+type mid_row = { shift : int; mid_ns : float; words : float }
+
+let mid_size = 6000
+
+let mid_inserts = 2000
+
+let median xs =
+  let a = Array.of_list xs in
+  Array.sort compare a;
+  a.(Array.length a / 2)
+
+let measure_mid ~shift =
+  let run () =
+    let log = Oplog.create ~checkpoint_interval:32 ~query_cache:true () in
+    for i = 1 to mid_size do
+      ignore
+        (Oplog.insert log
+           { Oplog.ts = Timestamp.make ~clock:(10 * i) ~pid:0;
+             origin = 0;
+             payload = Set_spec.Insert i;
+           })
+    done;
+    ignore (Oplog.replay log ~apply:Set_spec.apply ~initial:Set_spec.initial);
+    (* (T, j) for j = 1, 2, ... sorts after the resident (T, 0) at
+       position [mid_size - shift - 1] and after every earlier (T, _),
+       so each insert lands [shift] entries before the tail. *)
+    let clock = 10 * (mid_size - shift) in
+    let late =
+      Array.init mid_inserts (fun j ->
+          { Oplog.ts = Timestamp.make ~clock ~pid:(j + 1);
+            origin = 1;
+            payload = Set_spec.Insert (-j);
+          })
+    in
+    let w0 = Stdlib.Gc.minor_words () in
+    let t0 = Unix.gettimeofday () in
+    for j = 0 to mid_inserts - 1 do
+      ignore (Sys.opaque_identity (Oplog.insert log late.(j)))
+    done;
+    let elapsed = Unix.gettimeofday () -. t0 in
+    let words = Stdlib.Gc.minor_words () -. w0 in
+    let per = float_of_int mid_inserts in
+    (elapsed *. 1e9 /. per, words /. per)
+  in
+  let runs = List.init 5 (fun _ -> run ()) in
+  { shift; mid_ns = median (List.map fst runs); words = median (List.map snd runs) }
+
+let emit_json path cells mids =
   let oc = open_out path in
-  output_string oc "[\n";
-  List.iteri
-    (fun i c ->
-      Printf.fprintf oc
-        "  {\"core\": %S, \"size\": %d, \"insert_ns_per_op\": %.1f, \
-         \"query_ns_per_op\": %.1f}%s\n"
-        c.core c.size c.insert_ns c.query_ns
-        (if i = List.length cells - 1 then "" else ","))
-    cells;
-  output_string oc "]\n";
+  let rows =
+    List.map
+      (fun c ->
+        Printf.sprintf
+          "  {\"core\": %S, \"size\": %d, \"insert_ns_per_op\": %.1f, \
+           \"query_ns_per_op\": %.1f}"
+          c.core c.size c.insert_ns c.query_ns)
+      cells
+    @ List.map
+        (fun m ->
+          Printf.sprintf
+            "  {\"row\": \"mid-insert\", \"core\": \"array+ckpt\", \"size\": %d, \
+             \"shift\": %d, \"insert_ns_per_op\": %.1f, \
+             \"minor_words_per_insert\": %.2f}"
+            mid_size m.shift m.mid_ns m.words)
+        mids
+  in
+  output_string oc ("[\n" ^ String.concat ",\n" rows ^ "\n]\n");
   close_out oc
 
 (* `--monitor` row: per-event cost of the online uc/ec/pc checkers on a
@@ -197,8 +259,16 @@ let () =
       Printf.printf "%-12s %8d %16.1f %16.1f\n" c.core c.size c.insert_ns
         c.query_ns)
     cells;
+  let mids = List.map (fun shift -> measure_mid ~shift) [ 0; 256; 4096 ] in
+  Printf.printf "\n%-12s %8s %8s %16s %16s\n" "mid-insert" "size" "shift"
+    "insert ns/op" "minor words/op";
+  List.iter
+    (fun m ->
+      Printf.printf "%-12s %8d %8d %16.1f %16.2f\n" "array+ckpt" mid_size
+        m.shift m.mid_ns m.words)
+    mids;
   if Array.exists (( = ) "--monitor") Sys.argv then monitor_bench ();
-  emit_json "BENCH_oplog.json" cells;
+  emit_json "BENCH_oplog.json" cells mids;
   print_endline "wrote BENCH_oplog.json";
   (* pid 0 = list core, 1 = array, 2 = array+ckpt; verdict unaffected *)
   Option.iter

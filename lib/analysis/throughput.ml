@@ -442,19 +442,23 @@ module Bench (A : Uqadt.S) = struct
   let uniform_scripts ~seed ~domains ~ops ~query_ratio =
     let root = Prng.create seed in
     let script () =
-      (* explicit loop: the draw order is part of the determinism
-         contract, and [List.init]'s evaluation order is not *)
+      (* Explicit recursion: the draw order is part of the determinism
+         contract, and [List.init]'s evaluation order is not. Each
+         invocation is drawn before the rest of the script, and
+         [tail_mod_cons] builds the list front to back in constant
+         stack without a reversed copy to promote and discard. *)
       let g = Prng.fork root in
-      let acc = ref [] in
-      for _ = 1 to ops do
-        let inv =
-          if query_ratio > 0.0 && Prng.float g 1.0 < query_ratio then
-            Protocol.Invoke_query (A.random_query g)
-          else Protocol.Invoke_update (A.random_update g)
-        in
-        acc := inv :: !acc
-      done;
-      List.rev !acc
+      let[@tail_mod_cons] rec draw k =
+        if k = 0 then []
+        else
+          let inv =
+            if query_ratio > 0.0 && Prng.bernoulli g query_ratio then
+              Protocol.Invoke_query (A.random_query g)
+            else Protocol.Invoke_update (A.random_update g)
+          in
+          inv :: draw (k - 1)
+      in
+      draw ops
     in
     let scripts = Array.make domains [] in
     for pid = 0 to domains - 1 do

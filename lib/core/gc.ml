@@ -92,9 +92,11 @@ module Make (A : Uqadt.S) = struct
 
   let query t q ~on_result =
     let (_ : int) = Lamport.tick t.clock in
-    let state =
-      Oplog.fold (fun s e -> A.apply s e.Oplog.payload) t.snapshot t.tail
-    in
+    let state = ref t.snapshot in
+    for i = 0 to Oplog.length t.tail - 1 do
+      state := A.apply !state (Oplog.payload t.tail i)
+    done;
+    let state = !state in
     t.ctx.Protocol.count_replay (Oplog.length t.tail);
     on_result (A.eval state q)
 

@@ -96,10 +96,7 @@ module Make (A : Uqadt.S) = struct
 
   let metadata_bytes t = Oplog.footprint t.log ~payload_wire_size:A.update_wire_size
 
-  let certificate t =
-    Some
-      (List.rev
-         (Oplog.fold (fun acc e -> (e.Oplog.origin, e.Oplog.payload) :: acc) [] t.log))
+  let certificate t = Some (Oplog.certificate t.log)
 
   (* Snapshot transfer needs an update codec the universal construction
      is parametric over; {!Persist.Catchup} supplies real implementations

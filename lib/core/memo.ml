@@ -56,10 +56,7 @@ module Make (A : Uqadt.S) = struct
 
   let metadata_bytes t = Oplog.footprint t.log ~payload_wire_size:A.update_wire_size
 
-  let certificate t =
-    Some
-      (List.rev
-         (Oplog.fold (fun acc e -> (e.Oplog.origin, e.Oplog.payload) :: acc) [] t.log))
+  let certificate t = Some (Oplog.certificate t.log)
 
   let snapshots_live t = Oplog.checkpoints_live t.log
 end

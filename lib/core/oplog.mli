@@ -9,36 +9,51 @@
     module is the single substrate they now share:
 
     {ul
-    {- {b Storage}: a growable array of [(timestamp, origin, payload)]
-       entries kept sorted by timestamp ascending. Timestamps are
-       (Lamport clock, pid) pairs and therefore {e strictly} totally
-       ordered — no two entries ever compare equal.}
-    {- {b Insertion}: binary-search locate (O(log n)) plus one
-       [Array.blit] to open the slot, instead of the seed's O(n)
-       cons-scan. Fresh updates land at the end (locate terminates
-       immediately); late arrivals land mid-log and shift the suffix.}
+    {- {b Storage}: struct-of-arrays. Keys live in a byte vector of
+       fixed 16-byte records (clock, pid, origin, arena slot) kept
+       sorted by timestamp ascending; payloads live in an append-only
+       arena indexed by the record's slot. Timestamps are (Lamport
+       clock, pid) pairs and therefore {e strictly} totally ordered —
+       no two entries ever compare equal. Pid and origin must lie in
+       [\[0, 65535\]], the key field's range.}
+    {- {b Insertion}: a tail check, else a binary search over the key
+       bytes (O(log n)), then one memmove of the key suffix to open the
+       slot and one arena append. Payloads never move, so an insert
+       neither allocates (once capacity is warm) nor runs the write
+       barrier over the resident log. Fresh updates land at the end;
+       late arrivals land mid-log and shift the suffix's key bytes.}
     {- {b Checkpoints}: the Section VII.C memoised-replay cache,
        generalising [Memo.snapshot_interval]. {!replay} records the
        folded state every [checkpoint_interval] entries and starts the
        next replay from the deepest checkpoint still valid; an insert
        at position [pos] invalidates exactly the checkpoints strictly
-       above [pos].}
+       above [pos]. Live checkpoints are always the dense prefix of
+       multiples [interval*1 .. interval*live], stored as an array and
+       a count, so invalidation is [live <- min live (pos / interval)]
+       — O(1) — and a replay records only at index [live].}
     {- {b Stability watermark}: the GC hook. {!compact} folds the
        prefix at or below a clock bound into a caller-held snapshot
        state and remembers the bound; {!insert} refuses timestamps at
-       or below the watermark (they would mutate a discarded prefix).}
+       or below the watermark (they would mutate a discarded prefix).
+       Folded payloads are released from the arena once dead slots
+       outnumber live ones.}
     {- {b Codec}: the one wire path for persistence. {!encode_list} /
        {!decode_list} produce byte-for-byte the frame the seed
        {!Persist} wrote (magic "UCL", version, varint count, entries,
        additive checksum), so snapshots taken before this refactor
        still restore.}}
 
+    {!get}, {!iter}, {!fold} and {!to_list} build entries on demand;
+    {!payload} and {!certificate} read the arrays without building
+    them.
+
     Invariants maintained:
     {ul
     {- entries are strictly increasing by {!Timestamp.compare};}
-    {- every checkpoint [(k, s)] satisfies [0 < k <= length] and [s] is
-       the fold of the first [k] entries over the [apply] passed to
-       {!replay};}
+    {- checkpoint [j < live] is the fold of the first
+       [interval * (j + 1)] entries over the [apply] passed to
+       {!replay}, and [interval * live <= length];}
+    {- a valid query cache over [k] entries has [k / interval = live];}
     {- every stored timestamp has [clock > watermark].}} *)
 
 type 'u entry = { ts : Timestamp.t; origin : int; payload : 'u }
@@ -75,6 +90,10 @@ val get : ('u, 's) t -> int -> 'u entry
 (** [get t i] is the [i]-th entry in timestamp order.
     @raise Invalid_argument unless [0 <= i < length t]. *)
 
+val payload : ('u, 's) t -> int -> 'u
+(** [payload t i] is [(get t i).payload] without building the entry.
+    @raise Invalid_argument unless [0 <= i < length t]. *)
+
 val locate : ('u, 's) t -> Timestamp.t -> int
 (** The position at which an entry with this timestamp belongs: the
     index of the first entry whose timestamp is greater. O(log n)
@@ -86,8 +105,10 @@ val insert : ('u, 's) t -> 'u entry -> int
     a duplicate timestamp: timestamps are unique run-wide, so an equal
     timestamp is the same update delivered again (churn catch-up makes
     delivery at-least-once) and the log is left unchanged.
+    Allocates nothing once the log's capacity covers the new entry.
     @raise Invalid_argument if the timestamp's clock is at or below the
-    stability {!watermark}. *)
+    stability {!watermark}, or the pid or origin is outside
+    [\[0, 65535\]]. *)
 
 val insert_batch : ('u, 's) t -> 'u entry list -> int
 (** Insert a whole envelope of entries and return how many were fresh.
@@ -95,12 +116,13 @@ val insert_batch : ('u, 's) t -> 'u entry list -> int
     — duplicate timestamps (within the batch or against the log) are
     skipped, checkpoints above the lowest fresh landing position are
     invalidated — but costs one stable sort of the batch plus a single
-    back-to-front merge pass over the backing array (every resident
-    entry moves at most once), instead of k binary searches each
+    back-to-front merge pass over the key records (every resident
+    record moves at most once), instead of k binary searches each
     paying a suffix memmove.
     @raise Invalid_argument if any timestamp's clock is at or below
-    the stability {!watermark}; the log is then left unchanged (the
-    batch is validated before the merge). *)
+    the stability {!watermark}, or any pid or origin is outside
+    [\[0, 65535\]]; the log is then left unchanged (the batch is
+    validated before the merge). *)
 
 val iter : ('u entry -> unit) -> ('u, 's) t -> unit
 
@@ -111,10 +133,16 @@ val to_list : ('u, 's) t -> (Timestamp.t * int * 'u) list
     [local_log] API exposed — the compatibility view {!Persist} and the
     experiments consume. *)
 
+val certificate : ('u, 's) t -> (int * 'u) list
+(** The log in timestamp order as [(origin, payload)] pairs — a
+    protocol's linearization certificate — read straight off the
+    arrays. *)
+
 val load : ('u, 's) t -> (Timestamp.t * int * 'u) list -> unit
 (** Replace the contents with the given entries (sorted here, so any
     order is accepted), dropping all checkpoints and resetting the
-    watermark. Crash-recovery path: the checkpoint interval is kept. *)
+    watermark. Crash-recovery path: the checkpoint interval is kept.
+    @raise Invalid_argument if a pid or origin is outside [\[0, 65535\]]. *)
 
 val replay :
   ('u, 's) t -> apply:('s -> 'u -> 's) -> initial:'s -> 's * int
@@ -161,8 +189,9 @@ val encode_list :
 
 val decode_list :
   decode_update:(Codec.Reader.t -> 'u) -> string -> (Timestamp.t * int * 'u) list
-(** @raise Codec.Decode_error on bad magic, unsupported version,
-    truncation, trailing bytes, or checksum mismatch. *)
+(** @raise Codec.Decode_error on bad magic, unsupported version, an
+    entry count the frame cannot hold, a pid or origin outside
+    [\[0, 65535\]], truncation, trailing bytes, or checksum mismatch. *)
 
 val encode :
   ?update_wire_size:('u -> int) ->
@@ -170,12 +199,13 @@ val encode :
   ('u, 's) t ->
   string
 (** Byte-for-byte the frame [encode_list (to_list t)] produces, but
-    encoded straight from the backing array — no intermediate list —
+    encoded straight from the key records and arena — no intermediate list —
     with the writer pre-sized to the exact frame length when
     [update_wire_size] is given (the {!Wire} accounting the specs
     already expose). The persistence hot path. *)
 
 val decode :
   decode_update:(Codec.Reader.t -> 'u) -> ('u, 's) t -> string -> unit
-(** {!load} the decoded entries into an existing log.
+(** {!load} the decoded entries into an existing log, decoding straight
+    into its arrays. The log is left unchanged when decoding fails.
     @raise Codec.Decode_error as {!decode_list}. *)

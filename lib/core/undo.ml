@@ -41,14 +41,14 @@ module Make (A : Undoable.S) = struct
     let pos = Oplog.locate t.log ts in
     let state = ref t.state in
     for i = len - 1 downto pos do
-      state := A.undo !state (Oplog.get t.log i).Oplog.payload.tok;
+      state := A.undo !state (Oplog.payload t.log i).tok;
       t.repairs <- t.repairs + 1
     done;
     let state', tok = A.apply_with_undo !state u in
     state := state';
     ignore (Oplog.insert t.log { Oplog.ts; origin; payload = { u; tok } });
     for i = pos + 1 to len do
-      let p = (Oplog.get t.log i).Oplog.payload in
+      let p = Oplog.payload t.log i in
       let state', tok = A.apply_with_undo !state p.u in
       p.tok <- tok;
       state := state';
@@ -93,9 +93,7 @@ module Make (A : Undoable.S) = struct
     Oplog.footprint t.log ~payload_wire_size:(fun p -> A.update_wire_size p.u)
 
   let certificate t =
-    Some
-      (List.rev
-         (Oplog.fold (fun acc e -> (e.Oplog.origin, e.Oplog.payload.u) :: acc) [] t.log))
+    Some (List.map (fun (origin, p) -> (origin, p.u)) (Oplog.certificate t.log))
 
   let repairs t = t.repairs
 end

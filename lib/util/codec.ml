@@ -40,10 +40,15 @@ module Reader = struct
     t.pos <- t.pos + 1;
     b
 
+  (* OCaml ints carry 63 bits, so the 9th byte (shift 56) may hold only
+     six payload bits: a seventh would land in the sign bit and decode
+     to a negative value no [Writer.varint] can produce. *)
   let varint t =
     let rec go shift acc =
       if shift > 62 then raise (Decode_error "varint: too long");
       let b = u8 t in
+      if shift = 56 && b land 127 > 63 then
+        raise (Decode_error "varint: overflows a non-negative int");
       let acc = acc lor ((b land 127) lsl shift) in
       if b < 128 then acc else go (shift + 7) acc
     in
@@ -51,10 +56,13 @@ module Reader = struct
 
   let byte_string t =
     let len = varint t in
-    if t.pos + len > String.length t.data then raise (Decode_error "byte_string: truncated");
+    if len > String.length t.data - t.pos then
+      raise (Decode_error "byte_string: truncated");
     let s = String.sub t.data t.pos len in
     t.pos <- t.pos + len;
     s
+
+  let pos t = t.pos
 
   let at_end t = t.pos = String.length t.data
 end

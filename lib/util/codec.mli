@@ -39,8 +39,12 @@ module Reader : sig
   val u8 : t -> int
 
   val varint : t -> int
+  (** Always non-negative: an encoding of more than 62 bits is rejected. *)
 
   val byte_string : t -> string
+
+  val pos : t -> int
+  (** Bytes consumed so far. *)
 
   val at_end : t -> bool
   (** All input consumed — decoders check this for canonical frames.

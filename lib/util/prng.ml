@@ -1,26 +1,40 @@
-type t = { mutable state : int64; gamma : int64 }
+(* The 64-bit state lives in an 8-byte buffer rather than a mutable
+   [int64] field: storing into the field would box a fresh [int64] on
+   every draw, while a buffer store is a plain unboxed write. *)
+type t = { state : Bytes.t; gamma : int64 }
+
+external get64 : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
+external set64 : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
 
 let golden_gamma = 0x9E3779B97F4A7C15L
 
-let create seed = { state = Int64.of_int seed; gamma = golden_gamma }
+let make state gamma =
+  let b = Bytes.create 8 in
+  set64 b 0 state;
+  { state = b; gamma }
 
-let copy g = { state = g.state; gamma = g.gamma }
+let create seed = make (Int64.of_int seed) golden_gamma
+
+let copy g = make (get64 g.state 0) g.gamma
+
+(* One Weyl step of the state: the raw value the output function mixes. *)
+let[@inline] advance g =
+  let z = Int64.add (get64 g.state 0) g.gamma in
+  set64 g.state 0 z;
+  z
 
 (* SplitMix64 output function: one additive step then two xor-shift
    multiplications (finalizer of MurmurHash3 with Stafford's mix13
    constants). Every generator the repo made before [fork] existed used
    the golden-ratio gamma, and [create]/[split] still do, so seeded
    sequences are unchanged. *)
-let bits64 g =
-  g.state <- Int64.add g.state g.gamma;
-  let z = g.state in
+let[@inline] bits64 g =
+  let z = advance g in
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in
   Int64.logxor z (Int64.shift_right_logical z 31)
 
-let split g =
-  let seed = bits64 g in
-  { state = seed; gamma = golden_gamma }
+let split g = make (bits64 g) golden_gamma
 
 (* MurmurHash3's fmix64 with Stafford's "variant 13" shifts — the mixer
    SplitMix64 prescribes for deriving gammas, deliberately different
@@ -44,35 +58,37 @@ let fork g =
      odd; gammas with too regular a bit pattern (< 24 transitions) are
      xor-scrambled, per Steele, Lea & Flood §5. *)
   let seed = bits64 g in
-  g.state <- Int64.add g.state g.gamma;
-  let z = Int64.logor (mix_variant13 g.state) 1L in
+  let z = Int64.logor (mix_variant13 (advance g)) 1L in
   let gamma =
     if popcount64 (Int64.logxor z (Int64.shift_right_logical z 1)) < 24 then
       Int64.logxor z 0xAAAAAAAAAAAAAAAAL
     else z
   in
-  { state = seed; gamma }
+  make seed gamma
 
 let int g bound =
   if bound <= 0 then invalid_arg "Prng.int: bound must be positive";
   (* Rejection sampling on the top 62 bits to avoid modulo bias. *)
   let mask = max_int in
-  let rec draw () =
+  let result = ref (-1) in
+  while !result < 0 do
     let r = Int64.to_int (Int64.shift_right_logical (bits64 g) 2) land mask in
     let v = r mod bound in
-    if r - v > mask - bound + 1 then draw () else v
-  in
-  draw ()
+    if r - v <= mask - bound + 1 then result := v
+  done;
+  !result
 
 let int_in g lo hi =
   if hi < lo then invalid_arg "Prng.int_in: empty range";
   lo + int g (hi - lo + 1)
 
-let float g bound =
+let[@inline] float g bound =
   let r = Int64.to_float (Int64.shift_right_logical (bits64 g) 11) in
   bound *. (r /. 9007199254740992.0 (* 2^53 *))
 
 let bool g = Int64.logand (bits64 g) 1L = 1L
+
+let bernoulli g p = float g 1.0 < p
 
 let exponential g ~mean =
   let u = 1.0 -. float g 1.0 in

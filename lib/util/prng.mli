@@ -47,6 +47,10 @@ val float : t -> float -> float
 
 val bool : t -> bool
 
+val bernoulli : t -> float -> bool
+(** [bernoulli g p] is [float g 1.0 < p]: the same single draw, without
+    boxing the float for a caller in another module. *)
+
 val exponential : t -> mean:float -> float
 (** Exponentially distributed sample with the given mean. *)
 

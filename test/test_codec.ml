@@ -99,4 +99,81 @@ let negative_tests =
            with Codec.Decode_error _ -> true));
   ]
 
-let tests = primitive_tests @ adt_tests @ negative_tests
+(* Decoders are total: a crafted varint whose 9th byte carries a bit
+   into the sign position used to decode to -2^62, which then reached
+   [List.init] and [String.sub] as a negative size. *)
+let sign_bit_varint = String.make 8 '\x80' ^ "\x40"
+
+let raises_decode_error f =
+  match f () with
+  | _ -> false
+  | exception Codec.Decode_error _ -> true
+
+let overflow_tests =
+  [
+    Alcotest.test_case "a varint overflowing into the sign bit is rejected"
+      `Quick (fun () ->
+        Alcotest.(check bool) "raises" true
+          (raises_decode_error (fun () ->
+               Codec.Reader.varint (Codec.Reader.of_string sign_bit_varint))));
+    Alcotest.test_case "the largest non-negative varint still decodes" `Quick
+      (fun () ->
+        let w = Codec.Writer.create () in
+        Codec.Writer.varint w max_int;
+        Alcotest.(check int) "max_int" max_int
+          (Codec.Reader.varint (Codec.Reader.of_string (Codec.Writer.contents w))));
+    Alcotest.test_case "byte_string with an overflowing length is rejected"
+      `Quick (fun () ->
+        Alcotest.(check bool) "raises" true
+          (raises_decode_error (fun () ->
+               Codec.Reader.byte_string
+                 (Codec.Reader.of_string (sign_bit_varint ^ "abc")))));
+    Alcotest.test_case "byte_string with a max_int length is rejected" `Quick
+      (fun () ->
+        let w = Codec.Writer.create () in
+        Codec.Writer.varint w max_int;
+        Alcotest.(check bool) "raises" true
+          (raises_decode_error (fun () ->
+               Codec.Reader.byte_string
+                 (Codec.Reader.of_string (Codec.Writer.contents w ^ "abc")))));
+    Alcotest.test_case "a UCL frame with an overflowing count is rejected"
+      `Quick (fun () ->
+        let frame = "UCL\x01" ^ sign_bit_varint in
+        Alcotest.(check bool) "decode_list" true
+          (raises_decode_error (fun () ->
+               Oplog.decode_list ~decode_update:Update_codec.For_set.decode frame));
+        let log : (Set_spec.update, Set_spec.state) Oplog.t = Oplog.create () in
+        Alcotest.(check bool) "decode" true
+          (raises_decode_error (fun () ->
+               Oplog.decode ~decode_update:Update_codec.For_set.decode log frame)));
+    Alcotest.test_case "a UCL count larger than the frame is rejected" `Quick
+      (fun () ->
+        let log : (Set_spec.update, Set_spec.state) Oplog.t = Oplog.create () in
+        Alcotest.(check bool) "raises" true
+          (raises_decode_error (fun () ->
+               Oplog.decode ~decode_update:Update_codec.For_set.decode log
+                 "UCL\x01\xff\xff\xff\xff\x07\x00")));
+    Alcotest.test_case "a pid or origin outside the key field is rejected"
+      `Quick (fun () ->
+        let frame pid origin =
+          Oplog.encode_list ~encode_update:Update_codec.For_set.encode
+            [ (Timestamp.make ~clock:1 ~pid, origin, Set_spec.Insert 1) ]
+        in
+        let log : (Set_spec.update, Set_spec.state) Oplog.t = Oplog.create () in
+        let rejects s =
+          raises_decode_error (fun () ->
+              Oplog.decode ~decode_update:Update_codec.For_set.decode log s)
+          && raises_decode_error (fun () ->
+                 Oplog.decode_list ~decode_update:Update_codec.For_set.decode s)
+        in
+        Alcotest.(check bool) "pid 2^16" true (rejects (frame 0x10000 0));
+        Alcotest.(check bool) "origin 2^40" true (rejects (frame 0 (1 lsl 40)));
+        Alcotest.(check int) "log untouched" 0 (Oplog.length log);
+        Oplog.decode ~decode_update:Update_codec.For_set.decode log
+          (frame 0xFFFF 0xFFFF);
+        Alcotest.(check bool) "2^16 - 1 kept whole" true
+          (Oplog.to_list log
+          = [ (Timestamp.make ~clock:1 ~pid:0xFFFF, 0xFFFF, Set_spec.Insert 1) ]));
+  ]
+
+let tests = primitive_tests @ adt_tests @ negative_tests @ overflow_tests

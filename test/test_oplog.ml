@@ -47,8 +47,143 @@ let frame_checksum s =
   String.iter (fun c -> acc := (!acc + Char.code c) land 0x3FFFFFFF) s;
   !acc
 
-let tests =
+(* A reference model of the whole log: a sorted association list, the
+   checkpoints as a plain set of covered prefix lengths, and the query
+   cache as an optional prefix length — the list-based semantics the
+   array layout must reproduce exactly. *)
+type model = {
+  mutable entries : (Timestamp.t * int * Set_spec.update) list;
+  mutable ckpts : int list;
+  mutable qk : int option;
+  mutable wm : int;
+}
+
+let model_insert m ((ts, _, _) as e) =
+  if List.exists (fun (t, _, _) -> Timestamp.equal t ts) m.entries then false
+  else begin
+    let before, after =
+      List.partition (fun (t, _, _) -> Timestamp.compare t ts < 0) m.entries
+    in
+    let pos = List.length before in
+    m.entries <- before @ (e :: after);
+    m.ckpts <- List.filter (fun k -> k <= pos) m.ckpts;
+    (match m.qk with Some k when pos < k -> m.qk <- None | _ -> ());
+    true
+  end
+
+let model_replay m ~interval ~cache =
+  let base = List.fold_left max 0 m.ckpts in
+  let base = match m.qk with Some k when k >= base -> k | _ -> base in
+  let len = List.length m.entries in
+  if interval > 0 then
+    for k = base + 1 to len do
+      if k mod interval = 0 then m.ckpts <- k :: m.ckpts
+    done;
+  if cache then m.qk <- Some len;
+  (fold_states m.entries, len - base)
+
+let model_reset m entries =
+  m.entries <- by_timestamp entries;
+  m.ckpts <- [];
+  m.qk <- None;
+  m.wm <- 0
+
+let model_tests =
   [
+    qtest ~count:300 "random operation sequences agree with a sorted-list model"
+      seed_gen
+      (fun seed ->
+        let rng = Prng.create seed in
+        let interval = [| 0; 1; 3; 32 |].(Prng.int rng 4) in
+        let cache = Prng.bool rng in
+        let log = Oplog.create ~checkpoint_interval:interval ~query_cache:cache () in
+        let m = { entries = []; ckpts = []; qk = None; wm = 0 } in
+        let fresh_entry () =
+          let clock = m.wm + 1 + Prng.int rng 40 in
+          let pid = Prng.int rng 4 in
+          (Timestamp.make ~clock ~pid, pid, Set_spec.random_update rng)
+        in
+        (* Half the time re-deliver a resident entry, as churn catch-up
+           does; its payload is the resident one. *)
+        let any_entry () =
+          match m.entries with
+          | _ :: _ when Prng.int rng 3 = 0 ->
+            List.nth m.entries (Prng.int rng (List.length m.entries))
+          | _ -> fresh_entry ()
+        in
+        let to_entry (ts, origin, payload) = { Oplog.ts; origin; payload } in
+        let agree () =
+          Oplog.to_list log = m.entries
+          && Oplog.length log = List.length m.entries
+          && Oplog.checkpoints_live log = List.length m.ckpts
+          && Oplog.watermark log = m.wm
+          && Oplog.certificate log
+             = List.map (fun (_, o, u) -> (o, u)) m.entries
+        in
+        let step () =
+          match Prng.int rng 10 with
+          | 0 | 1 | 2 ->
+            let e = any_entry () in
+            let pos = Oplog.insert log (to_entry e) in
+            let (ts, _, _) = e in
+            ignore (model_insert m e : bool);
+            Timestamp.equal (Oplog.get log pos).Oplog.ts ts
+          | 3 | 4 ->
+            let batch = List.init (Prng.int rng 8) (fun _ -> any_entry ()) in
+            let fresh = Oplog.insert_batch log (List.map to_entry batch) in
+            let expected =
+              List.length (List.filter (fun e -> model_insert m e) batch)
+            in
+            fresh = expected
+          | 5 | 6 ->
+            let state, steps =
+              Oplog.replay log ~apply:Set_spec.apply ~initial:Set_spec.initial
+            in
+            let mstate, msteps = model_replay m ~interval ~cache in
+            Set_spec.equal_state state mstate && steps = msteps
+          | 7 ->
+            let bound = m.wm + Prng.int rng 20 in
+            let state, folded =
+              Oplog.compact log ~upto_clock:bound ~apply:Set_spec.apply
+                Set_spec.initial
+            in
+            if bound <= m.wm then folded = 0
+            else begin
+              let prefix, suffix =
+                List.partition
+                  (fun (ts, _, _) -> ts.Timestamp.clock <= bound)
+                  m.entries
+              in
+              m.entries <- suffix;
+              m.ckpts <- [];
+              m.qk <- None;
+              m.wm <- bound;
+              folded = List.length prefix
+              && Set_spec.equal_state state (fold_states prefix)
+            end
+          | 8 ->
+            let entries = entry_batch rng in
+            Oplog.load log entries;
+            model_reset m entries;
+            true
+          | _ ->
+            let frame =
+              Oplog.encode ~update_wire_size:Set_spec.update_wire_size
+                ~encode_update:Update_codec.For_set.encode log
+            in
+            Oplog.decode ~decode_update:Update_codec.For_set.decode log frame;
+            model_reset m m.entries;
+            frame
+            = Oplog.encode_list ~encode_update:Update_codec.For_set.encode
+                (Oplog.to_list log)
+        in
+        let rec run n = n = 0 || (step () && agree () && run (n - 1)) in
+        run (20 + Prng.int rng 60));
+  ]
+
+let tests =
+  model_tests
+  @ [
     qtest ~count:300 "inserting any permutation equals the timestamp sort"
       seed_gen
       (fun seed ->
@@ -395,4 +530,43 @@ let tests =
         && Set_spec.equal_state s1 s2
         && Set_spec.equal_state s3 e3
         && Set_spec.equal_state s4 (expect ()));
+    Alcotest.test_case "insert allocates nothing once warm" `Quick (fun () ->
+        let entry clock pid =
+          { Oplog.ts = Timestamp.make ~clock ~pid; origin = pid;
+            payload = Set_spec.Insert clock }
+        in
+        (* Appends: 1,100 entries grow the capacity to 2,048, so the
+           500 measured appends below never reallocate. *)
+        let log = Oplog.create ~checkpoint_interval:32 ~query_cache:true () in
+        for c = 1 to 1100 do
+          ignore (Oplog.insert log (entry c 0) : int)
+        done;
+        ignore (Oplog.replay log ~apply:Set_spec.apply ~initial:Set_spec.initial);
+        let appends = Array.init 500 (fun i -> entry (1101 + i) 0) in
+        let before = Stdlib.Gc.minor_words () in
+        for i = 0 to Array.length appends - 1 do
+          ignore (Sys.opaque_identity (Oplog.insert log appends.(i)))
+        done;
+        let words = Stdlib.Gc.minor_words () -. before in
+        Alcotest.(check (float 0.0)) "append minor words" 0.0 words;
+        (* Mid-log inserts with checkpoints at every entry: each lands
+           behind more than 1,000 live checkpoints and invalidates the
+           ones above it, with a telemetry profile attached. *)
+        let log = Oplog.create ~checkpoint_interval:1 ~query_cache:true () in
+        Oplog.set_profile log (Some (Obs.Profile.create ()));
+        for c = 1 to 1900 do
+          ignore (Oplog.insert log (entry (2 * c) 0) : int)
+        done;
+        ignore (Oplog.replay log ~apply:Set_spec.apply ~initial:Set_spec.initial);
+        let late = Array.init 200 (fun i -> entry (3800 - (2 * i) - 1) 1) in
+        Array.iter
+          (fun e ->
+            Alcotest.(check bool) "at least 1,000 live checkpoints" true
+              (Oplog.checkpoints_live log >= 1000);
+            let before = Stdlib.Gc.minor_words () in
+            let pos = Sys.opaque_identity (Oplog.insert log e) in
+            let words = Stdlib.Gc.minor_words () -. before in
+            Alcotest.(check (float 0.0)) "mid-log minor words" 0.0 words;
+            Alcotest.(check bool) "landed mid-log" true (pos < Oplog.length log - 1))
+          late);
   ]
