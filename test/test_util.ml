@@ -55,68 +55,6 @@ let prng_tests =
         let a = Array.of_list xs in
         Prng.shuffle g a;
         List.sort compare (Array.to_list a) = List.sort compare xs);
-    (* Literal pins of the SplitMix64 stream: every seeded run, journal
-       pin and shrunk counterexample in the repository is a function of
-       these values, so the generator's representation may change but
-       its outputs may not. *)
-    Alcotest.test_case "seeded outputs are pinned" `Quick (fun () ->
-        let g = Prng.create 42 in
-        let b1 = Prng.bits64 g in
-        let b2 = Prng.bits64 g in
-        Alcotest.(check (list int64)) "create 42 bits64"
-          [ -4767286540954276203L; 2949826092126892291L ] [ b1; b2 ];
-        let g = Prng.create 42 in
-        let i1 = Prng.int g 1000 in
-        let i2 = Prng.int g 1000 in
-        let i3 = Prng.int g 1000 in
-        let i4 = Prng.int g max_int in
-        let i5 = Prng.int g 3 in
-        Alcotest.(check (list int)) "int"
-          [ 853; 72; 964; 1587299515064563941; 2 ] [ i1; i2; i3; i4; i5 ];
-        let f1 = Prng.float g 1.0 in
-        let f2 = Prng.float g 10.0 in
-        Alcotest.(check (list (float 0.0))) "float"
-          [ 0x1.bc8863f47901bp-1; 0x1.178f038d5a15p+1 ] [ f1; f2 ];
-        let e1 = Prng.exponential g ~mean:5.0 in
-        let e2 = Prng.exponential g ~mean:5.0 in
-        Alcotest.(check (list (float 0.0))) "exponential"
-          [ 0x1.020430aa77b74p+3; 0x1.09dceea277a5fp+1 ] [ e1; e2 ];
-        let g = Prng.create 42 in
-        let c = Prng.split g in
-        let c1 = Prng.bits64 c in
-        let c2 = Prng.bits64 c in
-        let p = Prng.bits64 g in
-        Alcotest.(check (list int64)) "split child, then parent"
-          [ 6332618229526065668L; -816328817471504299L; 2949826092126892291L ]
-          [ c1; c2; p ];
-        let g = Prng.create 42 in
-        let c = Prng.fork g in
-        let c1 = Prng.bits64 c in
-        let c2 = Prng.bits64 c in
-        let p = Prng.bits64 g in
-        Alcotest.(check (list int64)) "fork child, then parent"
-          [ -3546419793532570940L; 2305530495165433277L; 5139283748462763858L ]
-          [ c1; c2; p ];
-        let gc = Prng.fork c in
-        let i = Prng.int gc 1_000_000 in
-        let f = Prng.float gc 1.0 in
-        Alcotest.(check int) "fork of fork int" 849443 i;
-        Alcotest.(check (float 0.0)) "fork of fork float" 0x1.f743f85dc18f2p-1 f);
-    qtest "bernoulli is one float draw compared to p" Helpers.seed_gen (fun seed ->
-        let a = Prng.create seed and b = Prng.create seed in
-        List.for_all
-          (fun p -> Prng.bernoulli a p = (Prng.float b 1.0 < p))
-          [ 0.0; 0.1; 0.4; 0.5; 0.9; 1.0 ]
-        && Prng.bits64 a = Prng.bits64 b);
-    Alcotest.test_case "drawing ints allocates nothing" `Quick (fun () ->
-        let g = Prng.create 7 in
-        ignore (Prng.int g 100 : int);
-        let before = Stdlib.Gc.minor_words () in
-        for _ = 1 to 1000 do
-          ignore (Sys.opaque_identity (Prng.int g 100) : int)
-        done;
-        let words = Stdlib.Gc.minor_words () -. before in
-        Alcotest.(check (float 0.0)) "minor words" 0.0 words);
     Alcotest.test_case "int rejects non-positive bound" `Quick (fun () ->
         let g = Prng.create 0 in
         Alcotest.check_raises "zero" (Invalid_argument "Prng.int: bound must be positive")
@@ -624,7 +562,76 @@ let window_tests =
           && s.Stats.p99 = direct.Stats.p99);
   ]
 
+(* Kept after every other list so the suite's existing case indices
+   stay put. *)
+let prng_pin_tests =
+  [
+    (* Literal pins of the SplitMix64 stream: every seeded run, journal
+       pin and shrunk counterexample in the repository is a function of
+       these values, so the generator's representation may change but
+       its outputs may not. *)
+    Alcotest.test_case "seeded outputs are pinned" `Quick (fun () ->
+        let g = Prng.create 42 in
+        let b1 = Prng.bits64 g in
+        let b2 = Prng.bits64 g in
+        Alcotest.(check (list int64)) "create 42 bits64"
+          [ -4767286540954276203L; 2949826092126892291L ] [ b1; b2 ];
+        let g = Prng.create 42 in
+        let i1 = Prng.int g 1000 in
+        let i2 = Prng.int g 1000 in
+        let i3 = Prng.int g 1000 in
+        let i4 = Prng.int g max_int in
+        let i5 = Prng.int g 3 in
+        Alcotest.(check (list int)) "int"
+          [ 853; 72; 964; 1587299515064563941; 2 ] [ i1; i2; i3; i4; i5 ];
+        let f1 = Prng.float g 1.0 in
+        let f2 = Prng.float g 10.0 in
+        Alcotest.(check (list (float 0.0))) "float"
+          [ 0x1.bc8863f47901bp-1; 0x1.178f038d5a15p+1 ] [ f1; f2 ];
+        let e1 = Prng.exponential g ~mean:5.0 in
+        let e2 = Prng.exponential g ~mean:5.0 in
+        Alcotest.(check (list (float 0.0))) "exponential"
+          [ 0x1.020430aa77b74p+3; 0x1.09dceea277a5fp+1 ] [ e1; e2 ];
+        let g = Prng.create 42 in
+        let c = Prng.split g in
+        let c1 = Prng.bits64 c in
+        let c2 = Prng.bits64 c in
+        let p = Prng.bits64 g in
+        Alcotest.(check (list int64)) "split child, then parent"
+          [ 6332618229526065668L; -816328817471504299L; 2949826092126892291L ]
+          [ c1; c2; p ];
+        let g = Prng.create 42 in
+        let c = Prng.fork g in
+        let c1 = Prng.bits64 c in
+        let c2 = Prng.bits64 c in
+        let p = Prng.bits64 g in
+        Alcotest.(check (list int64)) "fork child, then parent"
+          [ -3546419793532570940L; 2305530495165433277L; 5139283748462763858L ]
+          [ c1; c2; p ];
+        let gc = Prng.fork c in
+        let i = Prng.int gc 1_000_000 in
+        let f = Prng.float gc 1.0 in
+        Alcotest.(check int) "fork of fork int" 849443 i;
+        Alcotest.(check (float 0.0)) "fork of fork float" 0x1.f743f85dc18f2p-1 f);
+    qtest "bernoulli is one float draw compared to p" Helpers.seed_gen (fun seed ->
+        let a = Prng.create seed and b = Prng.create seed in
+        List.for_all
+          (fun p -> Prng.bernoulli a p = (Prng.float b 1.0 < p))
+          [ 0.0; 0.1; 0.4; 0.5; 0.9; 1.0 ]
+        && Prng.bits64 a = Prng.bits64 b);
+    Alcotest.test_case "drawing ints allocates nothing" `Quick (fun () ->
+        let g = Prng.create 7 in
+        ignore (Prng.int g 100 : int);
+        let before = Stdlib.Gc.minor_words () in
+        for _ = 1 to 1000 do
+          ignore (Sys.opaque_identity (Prng.int g 100) : int)
+        done;
+        let words = Stdlib.Gc.minor_words () -. before in
+        Alcotest.(check (float 0.0)) "minor words" 0.0 words);
+  ]
+
 let tests =
   prng_tests @ fork_tests @ heap_tests @ bitset_tests @ stats_tests
   @ slo_tests @ window_tests @ sha256_tests @ wire_tests @ zipf_tests
   @ table_tests @ dag_tests
+  @ prng_pin_tests
