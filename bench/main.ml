@@ -298,6 +298,76 @@ let test_parallel_engine =
              sink (Seq.run cfg ~workload:scripts)));
     ]
 
+(* E1: the discrete-event core under the Runner, per event, at the queue
+   depth a partitioned run reaches (sim-register-faults holds up to
+   18,185 pending events behind its partition). [engine] schedules one
+   event below the backlog and executes it, so it sifts through every
+   level twice; [broadcast] sends one message from replica 0 of 8 and
+   delivers its seven frames, so one run is seven events. *)
+let event_core_depth = 18_000
+
+let event_core =
+  let backlog () =
+    let e = Engine.create () in
+    for i = 1 to event_core_depth do
+      Engine.schedule_at e ~time:(1e9 +. float_of_int i) ignore
+    done;
+    e
+  in
+  let engine =
+    let e = backlog () in
+    Staged.stage (fun () ->
+        Engine.schedule e ~delay:1.0 ignore;
+        ignore (Engine.step e : bool))
+  in
+  let broadcast =
+    let e = backlog () in
+    let net =
+      Network.create ~engine:e ~rng:(Prng.create 7) ~metrics:(Metrics.create ()) ~n:8
+        ~delay:(Network.Exponential { mean = 5.0 })
+        ~wire_size:(fun (_ : int) -> 5)
+        ~deliver:(fun ~dst:_ ~src:_ _ -> ())
+        ()
+    in
+    Staged.stage (fun () ->
+        Network.broadcast net ~src:0 1;
+        for _ = 1 to 7 do
+          ignore (Engine.step e : bool)
+        done)
+  in
+  [
+    ("engine schedule+step", 1, engine);
+    ("network broadcast to 7 + deliver", 7, broadcast);
+  ]
+
+(* Time from bechamel; words counted directly with [Gc.minor_words],
+   since bechamel's [minor_allocated] reads [Gc.quick_stat], which on
+   OCaml 5 only advances at minor collections. *)
+let run_event_core () =
+  let ols = Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |] in
+  let cfg = Benchmark.cfg ~limit:2000 ~quota:(Time.second 0.5) ~kde:None () in
+  Printf.printf "  event core at queue depth %d (per event):\n" event_core_depth;
+  List.iter
+    (fun (label, events, fn) ->
+      let raw = Benchmark.all cfg Instance.[ monotonic_clock ] (Test.make ~name:label fn) in
+      let ns =
+        match
+          Analyze.OLS.estimates
+            (Hashtbl.find (Analyze.all ols Instance.monotonic_clock raw) label)
+        with
+        | Some [ est ] -> est
+        | Some _ | None -> Float.nan
+      in
+      let run = Staged.unstage fn and runs = 10_000 in
+      let before = Stdlib.Gc.minor_words () in
+      for _ = 1 to runs do
+        run ()
+      done;
+      let words = (Stdlib.Gc.minor_words () -. before) /. float_of_int runs in
+      let per x = x /. float_of_int events in
+      Printf.printf "  %-36s %12.1f ns %8.2f words\n" label (per ns) (per words))
+    event_core
+
 let all_tests =
   [
     test_query_cost;
@@ -331,6 +401,7 @@ let run_bechamel () =
 let () =
   print_endline "=== micro-benchmarks (bechamel, monotonic clock) ===";
   run_bechamel ();
+  run_event_core ();
   print_newline ();
   print_endline "=== experiment tables (paper reproduction) ===";
   List.iter

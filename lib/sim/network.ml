@@ -108,13 +108,11 @@ let create ~engine ~rng ~metrics ~n ?(fifo = false) ?(partitions = [])
 let ambient t =
   match t.obs with None -> None | Some no -> Obs.Span.active no.o.Obs.spans
 
-let journal t f =
-  match t.obs with
-  | None -> ()
-  | Some no -> (
-    match no.o.Obs.journal with
-    | None -> ()
-    | Some j -> Obs.Journal.record j (f ()))
+(* The attached journal, read at each record (it can be attached
+   mid-run). Callers build the event only under [Some], so a run
+   without one allocates nothing for it. *)
+let journal_of t =
+  match t.obs with None -> None | Some no -> no.o.Obs.journal
 
 (* Each message leaves stamped with the span that was ambient when it
    was handed to the network (not when a buffered batch flushes). *)
@@ -122,52 +120,54 @@ let stamp t msgs =
   let span = ambient t in
   List.map (fun m -> (m, span)) msgs
 
-let separated t ~src ~dst ~at =
-  List.find_opt
-    (fun p ->
-      p.from_time <= at && at < p.to_time
-      && List.mem src p.group <> List.mem dst p.group)
-    t.partitions
+let rec separated partitions ~src ~dst ~at =
+  match partitions with
+  | [] -> None
+  | p :: rest ->
+    if p.from_time <= at && at < p.to_time
+       && List.mem src p.group <> List.mem dst p.group
+    then Some p
+    else separated rest ~src ~dst ~at
 
 (* Earliest time >= [at] when src and dst are connected: partitions only
    delay messages (the network stays reliable). *)
 let rec connected_time t ~src ~dst ~at =
-  match separated t ~src ~dst ~at with
+  match separated t.partitions ~src ~dst ~at with
   | None -> at
   | Some p -> connected_time t ~src ~dst ~at:p.to_time
 
-(* One wire frame from [src] to [dst] carrying [msgs] in order: one
-   delay draw, one envelope, one delivery event. A singleton frame is
-   exactly the seed's per-message [enqueue] (with the default zero
-   envelope the metrics are bit-identical). [msgs] are (message, span)
-   pairs; stamped messages additionally pay [span_wire_bytes] each. *)
-let enqueue t ~src ~dst msgs =
-  let now = Engine.now t.engine in
-  let count = List.length msgs in
-  let span_bytes =
-    match t.obs with
-    | None -> 0
+(* Hand each message of a delivered frame to [dst], in order. *)
+let rec deliver_frame t ~src ~dst ~sent ~arrival = function
+  | [] -> ()
+  | (msg, span) :: rest ->
+    t.metrics.Metrics.messages_delivered <-
+      t.metrics.Metrics.messages_delivered + 1;
+    t.metrics.Metrics.delivery_latency_sum <-
+      t.metrics.Metrics.delivery_latency_sum +. (arrival -. sent);
+    (match t.record_delivery with
+    | Some record -> record ~sent ~received:arrival ~src ~dst msg
+    | None -> ());
+    (match t.obs with
+    | None -> t.deliver ~dst ~src msg
     | Some no ->
-      no.o.Obs.span_wire_bytes
-      * List.length (List.filter (fun (_, s) -> s <> None) msgs)
-  in
-  let frame_bytes =
-    t.envelope + span_bytes
-    + List.fold_left (fun acc (m, _) -> acc + t.wire_size m) 0 msgs
-  in
-  t.metrics.Metrics.messages_sent <- t.metrics.Metrics.messages_sent + count;
-  t.metrics.Metrics.bytes_sent <- t.metrics.Metrics.bytes_sent + frame_bytes;
-  if count > 1 then
-    t.metrics.Metrics.batches_sent <- t.metrics.Metrics.batches_sent + 1;
-  (match t.obs with
-  | None -> ()
-  | Some no ->
-    Obs.Registry.inc ~by:count no.sent.(src);
-    Obs.Registry.inc ~by:frame_bytes no.bytes.(src);
-    if count > 1 then Obs.Registry.inc no.batches.(src);
-    List.iter
-      (fun (_, span) -> Obs.Span.record_send no.o.Obs.spans ~span ~src ~time:now)
-      msgs);
+      Obs.Registry.inc no.delivered.(dst);
+      Obs.Registry.observe no.latency.(dst) (arrival -. sent);
+      Obs.Span.record_deliver no.o.Obs.spans ~span ~src ~dst ~sent
+        ~received:arrival;
+      (* Restore the ambient span afterwards so relays triggered
+         by this delivery stamp with the delivered span only
+         while processing it. *)
+      let saved = Obs.Span.active no.o.Obs.spans in
+      Obs.Span.set_active no.o.Obs.spans span;
+      t.deliver ~dst ~src msg;
+      Obs.Span.record_apply no.o.Obs.spans ~span ~pid:dst ~time:arrival;
+      Obs.Span.set_active no.o.Obs.spans saved);
+    deliver_frame t ~src ~dst ~sent ~arrival rest
+
+(* When a frame sent at [now] reaches [dst]. Kept out of line so the
+   result is boxed once, here, and that one box is shared by the
+   delivery event's time and its closure. *)
+let[@inline never] arrival_time t ~src ~dst ~now =
   let arrival =
     if src = dst then now (* a process receives its own broadcast instantly *)
     else begin
@@ -177,92 +177,131 @@ let enqueue t ~src ~dst msgs =
     end
   in
   if t.fifo then t.last_delivery.(src).(dst) <- arrival;
-  journal t (fun () ->
-      Obs.Journal.Frame
-        {
-          src;
-          dst;
-          count;
-          bytes = frame_bytes;
-          sent = now;
-          arrival;
-          spans = List.map snd msgs;
-        });
+  arrival
+
+(* A frame's wire bytes: one envelope, then each message, a stamped one
+   paying [span_wire_bytes] more. *)
+let rec add_message_bytes t ~span_cost acc = function
+  | [] -> acc
+  | (m, span) :: rest ->
+    let stamp_bytes = match span with None -> 0 | Some _ -> span_cost in
+    add_message_bytes t ~span_cost (acc + t.wire_size m + stamp_bytes) rest
+
+let frame_bytes t msgs =
+  let span_cost = match t.obs with None -> 0 | Some no -> no.o.Obs.span_wire_bytes in
+  add_message_bytes t ~span_cost t.envelope msgs
+
+(* One wire frame from [src] to [dst] carrying [msgs] in order: one
+   delay draw, one envelope, one delivery event. A singleton frame is
+   exactly the seed's per-message [enqueue] (with the default zero
+   envelope the metrics are bit-identical). [msgs] are (message, span)
+   pairs, [count] of them taking [bytes] on the wire; the caller sizes a
+   frame once for all its destinations. Without obs and journal the
+   only allocations are the delay draw's result and the delivery
+   event's closure. *)
+let enqueue t ~src ~dst ~count ~bytes msgs =
+  let now = Engine.now t.engine in
+  t.metrics.Metrics.messages_sent <- t.metrics.Metrics.messages_sent + count;
+  t.metrics.Metrics.bytes_sent <- t.metrics.Metrics.bytes_sent + bytes;
+  if count > 1 then
+    t.metrics.Metrics.batches_sent <- t.metrics.Metrics.batches_sent + 1;
+  (match t.obs with
+  | None -> ()
+  | Some no ->
+    Obs.Registry.inc ~by:count no.sent.(src);
+    Obs.Registry.inc ~by:bytes no.bytes.(src);
+    if count > 1 then Obs.Registry.inc no.batches.(src);
+    List.iter
+      (fun (_, span) -> Obs.Span.record_send no.o.Obs.spans ~span ~src ~time:now)
+      msgs);
+  let arrival = arrival_time t ~src ~dst ~now in
+  (match journal_of t with
+  | None -> ()
+  | Some j ->
+    Obs.Journal.record j
+      (Obs.Journal.Frame
+         {
+           src;
+           dst;
+           count;
+           bytes;
+           sent = now;
+           arrival;
+           spans = List.map snd msgs;
+         }));
   Engine.schedule_at t.engine ~time:arrival (fun () ->
       if t.crashed.(dst) || t.offline.(dst) then begin
         t.metrics.Metrics.messages_dropped <-
           t.metrics.Metrics.messages_dropped + count;
-        journal t (fun () ->
-            Obs.Journal.Drop { pid = dst; count; time = arrival });
+        (match journal_of t with
+        | None -> ()
+        | Some j ->
+          Obs.Journal.record j (Obs.Journal.Drop { pid = dst; count; time = arrival }));
         match t.obs with
         | None -> ()
         | Some no -> Obs.Registry.inc ~by:count no.dropped.(dst)
       end
       else begin
-        journal t (fun () ->
-            Obs.Journal.Deliver { src; dst; count; time = arrival });
-        List.iter
-          (fun (msg, span) ->
-            t.metrics.Metrics.messages_delivered <-
-              t.metrics.Metrics.messages_delivered + 1;
-            t.metrics.Metrics.delivery_latency_sum <-
-              t.metrics.Metrics.delivery_latency_sum +. (arrival -. now);
-            (match t.record_delivery with
-            | Some record -> record ~sent:now ~received:arrival ~src ~dst msg
-            | None -> ());
-            match t.obs with
-            | None -> t.deliver ~dst ~src msg
-            | Some no ->
-              Obs.Registry.inc no.delivered.(dst);
-              Obs.Registry.observe no.latency.(dst) (arrival -. now);
-              Obs.Span.record_deliver no.o.Obs.spans ~span ~src ~dst ~sent:now
-                ~received:arrival;
-              (* Restore the ambient span afterwards so relays triggered
-                 by this delivery stamp with the delivered span only
-                 while processing it. *)
-              let saved = Obs.Span.active no.o.Obs.spans in
-              Obs.Span.set_active no.o.Obs.spans span;
-              t.deliver ~dst ~src msg;
-              Obs.Span.record_apply no.o.Obs.spans ~span ~pid:dst ~time:arrival;
-              Obs.Span.set_active no.o.Obs.spans saved)
-          msgs
+        (match journal_of t with
+        | None -> ()
+        | Some j ->
+          Obs.Journal.record j
+            (Obs.Journal.Deliver { src; dst; count; time = arrival }));
+        deliver_frame t ~src ~dst ~sent:now ~arrival msgs
       end)
 
 let drop_from_src t ~src count =
   t.metrics.Metrics.messages_dropped <-
     t.metrics.Metrics.messages_dropped + count;
-  journal t (fun () ->
-      Obs.Journal.Drop { pid = src; count; time = Engine.now t.engine });
+  (match journal_of t with
+  | None -> ()
+  | Some j ->
+    Obs.Journal.record j
+      (Obs.Journal.Drop { pid = src; count; time = Engine.now t.engine }));
   match t.obs with
   | None -> ()
   | Some no -> Obs.Registry.inc ~by:count no.dropped.(src)
 
+let is_down t pid = t.crashed.(pid) || t.offline.(pid)
+
 let send t ~src ~dst msg =
   if dst < 0 || dst >= t.n then invalid_arg "Network.send: bad destination";
-  if t.crashed.(src) || t.offline.(src) then drop_from_src t ~src 1
-  else enqueue t ~src ~dst (stamp t [ msg ])
+  if is_down t src then drop_from_src t ~src 1
+  else begin
+    let frame = [ (msg, ambient t) ] in
+    enqueue t ~src ~dst ~count:1 ~bytes:(frame_bytes t frame) frame
+  end
 
-let broadcast t ~src msg =
-  for dst = 0 to t.n - 1 do
-    if dst <> src then send t ~src ~dst msg
-  done
+(* A frame is built and sized once and the same frame goes to every
+   peer. *)
+let broadcast_frame t ~src ~count msgs =
+  if is_down t src then begin
+    for dst = 0 to t.n - 1 do
+      if dst <> src then drop_from_src t ~src count
+    done
+  end
+  else begin
+    let bytes = frame_bytes t msgs in
+    for dst = 0 to t.n - 1 do
+      if dst <> src then enqueue t ~src ~dst ~count ~bytes msgs
+    done
+  end
+
+let broadcast t ~src msg = broadcast_frame t ~src ~count:1 [ (msg, ambient t) ]
 
 let send_stamped_batch t ~src ~dst msgs =
   if dst < 0 || dst >= t.n then invalid_arg "Network.send_batch: bad destination";
   match msgs with
   | [] -> ()
   | msgs ->
-    if t.crashed.(src) || t.offline.(src) then
-      drop_from_src t ~src (List.length msgs)
-    else enqueue t ~src ~dst msgs
+    let count = List.length msgs in
+    if is_down t src then drop_from_src t ~src count
+    else enqueue t ~src ~dst ~count ~bytes:(frame_bytes t msgs) msgs
 
 let send_batch t ~src ~dst msgs = send_stamped_batch t ~src ~dst (stamp t msgs)
 
 let broadcast_stamped_batch t ~src msgs =
-  if msgs <> [] then
-    for dst = 0 to t.n - 1 do
-      if dst <> src then send_stamped_batch t ~src ~dst msgs
-    done
+  if msgs <> [] then broadcast_frame t ~src ~count:(List.length msgs) msgs
 
 let broadcast_batch t ~src msgs = broadcast_stamped_batch t ~src (stamp t msgs)
 
@@ -284,7 +323,7 @@ let is_offline t pid = t.offline.(pid)
 (* Whether src and dst are on opposite sides of some partition at [at];
    catch-up transfers consult this so a joiner cannot sync across a
    partition it could not have talked through. *)
-let separated_at t ~src ~dst ~at = separated t ~src ~dst ~at <> None
+let separated_at t ~src ~dst ~at = separated t.partitions ~src ~dst ~at <> None
 
 let alive t =
   let rec collect i acc =

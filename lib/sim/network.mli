@@ -83,7 +83,8 @@ val broadcast : 'msg t -> src:int -> 'msg -> unit
 (** One message to every process {e other than} the sender — the paper
     treats a sender's own copy as received instantaneously, so protocols
     apply their own updates synchronously instead. Counts [n-1]
-    messages. *)
+    messages. The message is stamped once and the peers share that one
+    frame; each peer still gets its own delay draw and delivery event. *)
 
 val send_batch : 'msg t -> src:int -> dst:int -> 'msg list -> unit
 (** One wire frame carrying the messages in order: one delay draw, one

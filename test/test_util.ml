@@ -1,4 +1,4 @@
-(* uc_util: PRNG, heap, bitset, stats, wire, zipf, table, dag. *)
+(* uc_util: PRNG, bitset, stats, wire, zipf, table, dag. *)
 
 let qtest ?(count = 200) name gen law =
   QCheck_alcotest.to_alcotest (QCheck2.Test.make ~count ~name gen law)
@@ -66,38 +66,6 @@ let prng_tests =
           if Prng.sample_weighted g [ (9.0, `A); (1.0, `B) ] = `A then incr hits
         done;
         Alcotest.(check bool) "about 90%" true (!hits > 800 && !hits < 980));
-  ]
-
-let heap_tests =
-  [
-    qtest "pops in sorted order" QCheck2.Gen.(list int) (fun xs ->
-        let h = Heap.create ~cmp:Int.compare in
-        List.iter (Heap.push h) xs;
-        let rec drain acc = match Heap.pop h with None -> List.rev acc | Some x -> drain (x :: acc) in
-        drain [] = List.sort Int.compare xs);
-    qtest "length tracks pushes" QCheck2.Gen.(list int) (fun xs ->
-        let h = Heap.create ~cmp:Int.compare in
-        List.iter (Heap.push h) xs;
-        Heap.length h = List.length xs);
-    Alcotest.test_case "peek does not remove" `Quick (fun () ->
-        let h = Heap.create ~cmp:Int.compare in
-        Heap.push h 3;
-        Heap.push h 1;
-        Alcotest.(check (option int)) "peek" (Some 1) (Heap.peek h);
-        Alcotest.(check int) "still two" 2 (Heap.length h));
-    Alcotest.test_case "pop_exn on empty raises" `Quick (fun () ->
-        let h = Heap.create ~cmp:Int.compare in
-        Alcotest.check_raises "empty" (Invalid_argument "Heap.pop_exn: empty heap") (fun () ->
-            ignore (Heap.pop_exn h)));
-    Alcotest.test_case "clear empties" `Quick (fun () ->
-        let h = Heap.create ~cmp:Int.compare in
-        List.iter (Heap.push h) [ 5; 2; 8 ];
-        Heap.clear h;
-        Alcotest.(check bool) "empty" true (Heap.is_empty h));
-    qtest "to_list holds the same elements" QCheck2.Gen.(list small_int) (fun xs ->
-        let h = Heap.create ~cmp:Int.compare in
-        List.iter (Heap.push h) xs;
-        List.sort compare (Heap.to_list h) = List.sort compare xs);
   ]
 
 (* Bitset checked against a Set.Make(Int) model. *)
@@ -631,7 +599,7 @@ let prng_pin_tests =
   ]
 
 let tests =
-  prng_tests @ fork_tests @ heap_tests @ bitset_tests @ stats_tests
+  prng_tests @ fork_tests @ bitset_tests @ stats_tests
   @ slo_tests @ window_tests @ sha256_tests @ wire_tests @ zipf_tests
   @ table_tests @ dag_tests
   @ prng_pin_tests
