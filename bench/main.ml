@@ -368,6 +368,30 @@ let run_event_core () =
       Printf.printf "  %-36s %12.1f ns %8.2f words\n" label (per ns) (per words))
     event_core
 
+(* D1: the Proposition 4 differential ([Throughput.Bench.measure]) stage
+   by stage at the mc-counter-write size, 2 domains x 100k counter
+   updates, as [measure] itself times them ([verdict.stages]).
+   Wall-clock ms, median and range of 5 runs on scripts seeded 1..5. *)
+let differential_stages () =
+  let module B = Throughput.Bench (Counter_spec) in
+  let domains = 2 and ops = 100_000 and runs = 5 in
+  let per_run =
+    List.init runs (fun r ->
+        let scripts = B.uniform_scripts ~seed:(r + 1) ~domains ~ops ~query_ratio:0.0 in
+        Stdlib.Gc.full_major ();
+        let v = B.measure ~domains ~final_read:Counter_spec.Value ~scripts () in
+        if not (B.ok v) then failwith "D1: the differential disagrees";
+        v.B.stages)
+  in
+  Printf.printf "  differential stages, %d domains x %dk counter updates (ms, median [min, max] of %d):\n"
+    domains (ops / 1000) runs;
+  List.iter
+    (fun (name, _) ->
+      let t = Array.of_list (List.map (fun st -> 1e3 *. List.assoc name st) per_run) in
+      Array.sort Float.compare t;
+      Printf.printf "  %-36s %8.1f [%.1f, %.1f]\n" name t.(runs / 2) t.(0) t.(runs - 1))
+    (List.hd per_run)
+
 let all_tests =
   [
     test_query_cost;
@@ -402,6 +426,7 @@ let () =
   print_endline "=== micro-benchmarks (bechamel, monotonic clock) ===";
   run_bechamel ();
   run_event_core ();
+  differential_stages ();
   print_newline ();
   print_endline "=== experiment tables (paper reproduction) ===";
   List.iter

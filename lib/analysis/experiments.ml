@@ -555,7 +555,8 @@ let latency_vs_rtt ~seed =
       }
     in
     let r = R.run config ~workload in
-    let s = Stats.summarize (if r.R.op_latencies = [] then [ 0.0 ] else r.R.op_latencies) in
+    let lats = r.R.op_latencies in
+    let s = Stats.summarize_array (if lats = [||] then [| 0.0 |] else lats) in
     Table.add_row table
       [
         P.protocol_name;

@@ -139,6 +139,7 @@ module Bench (A : Uqadt.S) = struct
     journal_replay : bool option;  (* [None] when no recorder was attached *)
     recording : recording option;
     state_repr : string;  (* rendered timestamp-order fold *)
+    stages : (string * float) list;  (* wall-clock seconds per stage *)
   }
 
   let ok v =
@@ -481,72 +482,89 @@ module Bench (A : Uqadt.S) = struct
         recorder;
       }
     in
-    let run = E.run cfg ~workload:scripts in
-    let logs = Array.map G.local_log run.E.replicas in
-    let log0 = logs.(0) in
-    let logs_agree = Array.for_all (( = ) log0) logs in
-    let updates = List.map (fun (_, _, u) -> u) log0 in
-    let folded = Run.final_state updates in
-    let expected = A.eval folded final_read in
-    let omega_matches_fold =
-      run.E.outputs <> []
-      && List.for_all (fun (_, o) -> A.equal_output o expected) run.E.outputs
+    (* Wall-clock seconds of each stage, in the order they run. *)
+    let stages = ref [] in
+    let timed name f =
+      let t0 = Unix.gettimeofday () in
+      let x = f () in
+      stages := (name, Unix.gettimeofday () -. t0) :: !stages;
+      x
+    in
+    let run = timed "engine" (fun () -> E.run cfg ~workload:scripts) in
+    let r0 = run.E.replicas.(0) in
+    let logs_agree =
+      timed "log agreement" (fun () -> Array.for_all (G.same_log r0) run.E.replicas)
+    in
+    (* Replica 0's list, built once: the fold and the restore read it. *)
+    let log0, folded, expected, omega_matches_fold =
+      timed "fold" (fun () ->
+          let log0 = G.local_log r0 in
+          let folded = Run.final_state (List.map (fun (_, _, u) -> u) log0) in
+          let expected = A.eval folded final_read in
+          ( log0,
+            folded,
+            expected,
+            run.E.outputs <> []
+            && List.for_all (fun (_, o) -> A.equal_output o expected) run.E.outputs ))
     in
     (* The sequential core replays the converged log through the exact
        persistence-restore path the crash-recovery tests exercise. *)
-    let fresh = G.create (dummy_ctx ~pid:0 ~n:1) in
-    G.restore_log fresh log0;
-    let replayed = ref None in
-    G.query fresh final_read ~on_result:(fun o -> replayed := Some o);
     let replay_matches_fold =
-      match !replayed with
-      | Some o -> A.equal_output o expected
-      | None -> false
+      timed "restore and query" (fun () ->
+          let fresh = G.create (dummy_ctx ~pid:0 ~n:1) in
+          G.restore_log fresh log0;
+          let replayed = ref None in
+          G.query fresh final_read ~on_result:(fun o -> replayed := Some o);
+          match !replayed with
+          | Some o -> A.equal_output o expected
+          | None -> false)
     in
     let updates_conserved = List.length log0 = run.E.updates_total in
     let runner_matches =
       if not A.commutative then None
-      else begin
-        let sc =
-          {
-            (Seq.default_config ~n:domains ~seed:seq_seed) with
-            Seq.final_read = Some final_read;
-          }
-        in
-        let sr = Seq.run sc ~workload:scripts in
-        Some
-          (sr.Seq.converged
-          && sr.Seq.final_outputs <> []
-          && List.for_all
-               (fun (_, o) -> A.equal_output o expected)
-               sr.Seq.final_outputs)
-      end
+      else
+        timed "sequential clause" (fun () ->
+            let sc =
+              {
+                (Seq.default_config ~n:domains ~seed:seq_seed) with
+                Seq.final_read = Some final_read;
+              }
+            in
+            let sr = Seq.run sc ~workload:scripts in
+            Some
+              (sr.Seq.converged
+              && sr.Seq.final_outputs <> []
+              && List.for_all
+                   (fun (_, o) -> A.equal_output o expected)
+                   sr.Seq.final_outputs))
     in
     let recording =
       match recorder with
       | None -> None
       | Some r ->
-        let events = Obs.Recorder.events r in
-        let query_outputs = run.E.query_outputs in
-        let omega_outputs = run.E.outputs in
-        let journal =
-          journal_of_events ?header:journal_header ~scripts ~final_read
-            ~query_outputs ~omega_outputs events
-        in
-        let fingerprint = Option.get (Obs.Journal.fingerprint journal) in
-        let replay = replay_journal ~scripts ~final_read journal in
-        let monitor =
-          Option.map
-            (fun criteria ->
-              feed_monitor ~criteria ~scripts ~final_read ~query_outputs
-                ~omega_outputs events)
-            monitor
-        in
-        Some { events; journal; fingerprint; replay; monitor }
+        timed "recording" (fun () ->
+            let events = Obs.Recorder.events r in
+            let query_outputs = run.E.query_outputs in
+            let omega_outputs = run.E.outputs in
+            let journal =
+              journal_of_events ?header:journal_header ~scripts ~final_read
+                ~query_outputs ~omega_outputs events
+            in
+            let fingerprint = Option.get (Obs.Journal.fingerprint journal) in
+            let replay = replay_journal ~scripts ~final_read journal in
+            let monitor =
+              Option.map
+                (fun criteria ->
+                  feed_monitor ~criteria ~scripts ~final_read ~query_outputs
+                    ~omega_outputs events)
+                monitor
+            in
+            Some { events; journal; fingerprint; replay; monitor })
     in
+    let latency = timed "latency summary" (fun () -> E.latency_summary run) in
     {
       run;
-      latency = E.latency_summary run;
+      latency;
       logs_agree;
       omega_matches_fold;
       replay_matches_fold;
@@ -558,6 +576,7 @@ module Bench (A : Uqadt.S) = struct
           recording;
       recording;
       state_repr = Format.asprintf "%a" A.pp_state folded;
+      stages = List.rev !stages;
     }
 
   let row ?(batch = 1) ?(flush_window = 0) ~ops_per_domain v =

@@ -58,8 +58,17 @@ val series_of_events :
     read. *)
 
 module Bench (A : Uqadt.S) : sig
-  module G : Generic.S with type update = A.update and type query = A.query
-                        and type output = A.output and type state = A.state
+  module G : sig
+    include
+      Generic.S
+        with type update = A.update
+         and type query = A.query
+         and type output = A.output
+         and type state = A.state
+
+    val same_log : t -> t -> bool
+    (** {!Generic.Make.same_log}: clause 1's in-place log comparison. *)
+  end
   module E : module type of Parallel_engine.Make (G)
   module Mon : module type of Obs.Monitor.Make (A)
 
@@ -89,6 +98,13 @@ module Bench (A : Uqadt.S) : sig
         (** clause 6; [None] when no recorder was attached *)
     recording : recording option;
     state_repr : string;  (** rendered timestamp-order fold *)
+    stages : (string * float) list;
+        (** wall-clock seconds of each stage of [measure], in run order:
+            ["engine"], ["log agreement"], ["fold"] (replica 0's list,
+            the fold and the ω comparison), ["restore and query"],
+            ["sequential clause"] (commutative specs only),
+            ["recording"] (with a recorder only) and
+            ["latency summary"] *)
   }
 
   val ok : verdict -> bool

@@ -109,6 +109,8 @@ module Make (A : Uqadt.S) = struct
 
   let local_log t = Oplog.to_list t.log
 
+  let same_log a b = Oplog.equal_entries ~equal:A.equal_update a.log b.log
+
   let encode_log t ~encode_update =
     Oplog.encode ~update_wire_size:A.update_wire_size ~encode_update t.log
 

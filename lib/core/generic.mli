@@ -82,4 +82,10 @@ module Make (A : Uqadt.S) : sig
 
   val checkpoints_live : t -> int
   (** Currently valid {!Oplog} checkpoints (diagnostics). *)
+
+  val same_log : t -> t -> bool
+  (** [same_log a b] iff [local_log a] and [local_log b] hold the same
+      entries (payloads compared with [A.equal_update]), decided in
+      place on the two logs ({!Oplog.equal_entries}) without building
+      either list. *)
 end

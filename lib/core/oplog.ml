@@ -349,6 +349,24 @@ let certificate t =
   done;
   !acc
 
+(* Entry-wise equality straight off the key records: the clock word and
+   the pid/origin word of each record (the slot word differs between
+   logs and is skipped), then the payloads. *)
+let equal_entries ~equal a b =
+  a.len = b.len
+  &&
+  let ka = a.keys and kb = b.keys in
+  let rec from i =
+    i = a.len
+    ||
+    let off = i * stride in
+    Int64.equal (get64 ka off) (get64 kb off)
+    && Int32.equal (get32 ka (off + 8)) (get32 kb (off + 8))
+    && equal a.arena.(slot_at ka i) b.arena.(slot_at kb i)
+    && from (i + 1)
+  in
+  from 0
+
 (* Stable sort of [n] records by timestamp; the input is returned as
    is when already sorted (every frame [encode] writes is). *)
 let sort_keys keys n =

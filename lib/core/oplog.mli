@@ -138,6 +138,12 @@ val certificate : ('u, 's) t -> (int * 'u) list
     protocol's linearization certificate — read straight off the
     arrays. *)
 
+val equal_entries : equal:('u -> 'u -> bool) -> ('u, 's) t -> ('u, 's) t -> bool
+(** [equal_entries ~equal a b] iff both logs hold the same entries in
+    the same order — same timestamp and origin, payloads related by
+    [equal] — i.e. [to_list a = to_list b] when [equal] is structural
+    equality, decided on the key records without building an entry. *)
+
 val load : ('u, 's) t -> (Timestamp.t * int * 'u) list -> unit
 (** Replace the contents with the given entries (sorted here, so any
     order is accepted), dropping all checkpoints and resetting the

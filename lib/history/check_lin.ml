@@ -1,3 +1,5 @@
+type intervals = { starts : float array; finishes : float array }
+
 module Make (A : Uqadt.S) = struct
   module L = Linearize.Make (A)
 
@@ -5,16 +7,16 @@ module Make (A : Uqadt.S) = struct
 
   let precedence h ~intervals =
     let n = History.size h in
-    if Array.length intervals <> n then
+    let { starts; finishes } = intervals in
+    if Array.length starts <> n || Array.length finishes <> n then
       invalid_arg "Check_lin: one interval per event required";
     let g = Dag.create n in
     for i = 0 to n - 1 do
       for j = 0 to n - 1 do
         if i <> j then begin
-          let _, fi = intervals.(i) and sj, _ = intervals.(j) in
           (* Real-time order, plus program order (which covers same-time
              successive events of one process). *)
-          if fi < sj || History.po h i j then Dag.add_edge g i j
+          if finishes.(i) < starts.(j) || History.po h i j then Dag.add_edge g i j
         end
       done
     done;

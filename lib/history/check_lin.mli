@@ -14,17 +14,22 @@
     and to exhibit the converse: wait-free update-consistent objects
     answer stale reads, so their runs generally are not. *)
 
+type intervals = { starts : float array; finishes : float array }
+(** The real-time spans of a run, indexed by event id: [starts.(id)] is
+    event [id]'s invocation time and [finishes.(id)] its response time.
+    Unboxed, so a run's spans cost two words per event. *)
+
 module Make (A : Uqadt.S) : sig
   type history = (A.update, A.query, A.output) History.t
 
   val witness :
     history ->
-    intervals:(float * float) array ->
+    intervals:intervals ->
     (A.update, A.query, A.output) History.event list option
-  (** [intervals.(id)] is the (invocation, response) span of event [id];
-      use an infinite response for operations that never completed
-      (they then constrain nothing after them, the standard treatment of
-      pending operations that are deemed to take effect). *)
+  (** One span per event of the history. Use an infinite response for
+      operations that never completed (they then constrain nothing after
+      them, the standard treatment of pending operations that are deemed
+      to take effect). *)
 
-  val holds : history -> intervals:(float * float) array -> bool
+  val holds : history -> intervals:intervals -> bool
 end

@@ -13,43 +13,52 @@ type ('u, 'q, 'o) t = {
   procs : int array array;
 }
 
-let make per_process =
-  let events = ref [] in
-  let next_id = ref 0 in
-  let procs =
-    List.mapi
-      (fun pid steps ->
-        let ids =
-          List.mapi
-            (fun seq step ->
-              let label, omega =
-                match step with
-                | U u -> (Uqadt.Update u, false)
-                | Q (q, o) -> (Uqadt.Query (q, o), false)
-                | Qw (q, o) -> (Uqadt.Query (q, o), true)
-              in
-              let id = !next_id in
-              incr next_id;
-              events := { id; pid; seq; label; omega } :: !events;
-              (id, omega))
-            steps
-        in
-        (* An ω event stands for an infinite repetition, so nothing of the
-           same process may follow it. *)
-        let rec validate = function
-          | [] | [ _ ] -> ()
-          | (_, omega) :: rest ->
-            if omega then invalid_arg "History.make: ω event is not last in its process";
-            validate rest
-        in
-        validate ids;
-        Array.of_list (List.map fst ids))
-      per_process
+(* One construction path for [make] and [init]: events are numbered
+   process-major, so process [p]'s ids are a contiguous range starting
+   after every earlier process's steps. Each event takes the label
+   [label p i] returns as it is, so a producer that already holds
+   labels shares them with the history. *)
+let build ~fn n ~length ~label ~omega =
+  let lengths = Array.init n length in
+  let total = Array.fold_left ( + ) 0 lengths in
+  let pid = ref 0 and seq = ref 0 in
+  let events =
+    Array.init total (fun id ->
+        while !seq = lengths.(!pid) do
+          incr pid;
+          seq := 0
+        done;
+        let p = !pid and i = !seq in
+        incr seq;
+        let label = label p i and omega = omega p i in
+        (* An ω event stands for an infinite repetition, so nothing of
+           the same process may follow it. *)
+        if omega && i < lengths.(p) - 1 then
+          invalid_arg (fn ^ ": ω event is not last in its process");
+        { id; pid = p; seq = i; label; omega })
   in
-  {
-    events = Array.of_list (List.rev !events);
-    procs = Array.of_list procs;
-  }
+  let next = ref 0 in
+  let procs =
+    Array.map
+      (fun len ->
+        let first = !next in
+        next := first + len;
+        Array.init len (fun i -> first + i))
+      lengths
+  in
+  { events; procs }
+
+let init n ~length ~label ~omega = build ~fn:"History.init" n ~length ~label ~omega
+
+let make per_process =
+  let steps = Array.of_list (List.map Array.of_list per_process) in
+  build ~fn:"History.make" (Array.length steps)
+    ~length:(fun p -> Array.length steps.(p))
+    ~label:(fun p i ->
+      match steps.(p).(i) with
+      | U u -> Uqadt.Update u
+      | Q (q, o) | Qw (q, o) -> Uqadt.Query (q, o))
+    ~omega:(fun p i -> match steps.(p).(i) with Qw _ -> true | U _ | Q _ -> false)
 
 let events h = Array.to_list h.events
 

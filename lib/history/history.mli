@@ -37,6 +37,22 @@ val make : ('u, 'q, 'o) step list list -> ('u, 'q, 'o) t
     the same process (an ω event is by construction the last event of its
     process). *)
 
+val init :
+  int ->
+  length:(int -> int) ->
+  label:(int -> int -> ('u, 'q, 'o) Uqadt.operation) ->
+  omega:(int -> int -> bool) ->
+  ('u, 'q, 'o) t
+(** [init n ~length ~label ~omega] builds the history of [n] processes
+    where process [p] issued [length p] operations, the [i]-th labelled
+    [label p i] and an ω query iff [omega p i] — {!make} without the
+    intermediate lists, for producers that keep their operations in
+    arrays (the simulator's runner). The returned labels are stored as
+    they are, not copied. [label] and [omega] are called once per
+    event, process by process, in order; {!make} is [init] over its
+    lists.
+    @raise Invalid_argument as {!make}. *)
+
 val events : ('u, 'q, 'o) t -> ('u, 'q, 'o) event list
 
 val event : ('u, 'q, 'o) t -> int -> ('u, 'q, 'o) event

@@ -166,13 +166,6 @@ let event_wall = function
   | Deliver { wall; _ }
   | Stall { wall; _ } -> wall
 
-let event_seq = function
-  | Invoke_update { seq; _ }
-  | Invoke_query { seq; _ }
-  | Send { seq; _ }
-  | Deliver { seq; _ }
-  | Stall { seq; _ } -> seq
-
 let decode_record pid seq buf off =
   let a = Int32.to_int (Bytes.get_int32_le buf (off + 1)) in
   let b = Int32.to_int (Bytes.get_int32_le buf (off + 5)) in
@@ -191,33 +184,57 @@ let decode_record pid seq buf off =
   | k when k = k_stall -> Stall { pid; seq; lamport; wall; dst = a }
   | k -> invalid_arg (Printf.sprintf "Recorder: corrupt record kind %d" k)
 
-let decode_handle h acc =
-  (* Chunks oldest-first; fold right-to-left so the accumulator conses
-     into a list that is already in stream order. *)
-  let chunks = List.rev ((h.cur, h.used) :: List.map (fun c -> (c, h.chunk_records)) h.filled) in
-  let seq = ref h.total in
-  List.fold_right
-    (fun (buf, used) acc ->
-      let acc = ref acc in
-      for i = used - 1 downto 0 do
-        decr seq;
-        acc := decode_record h.pid !seq buf (i * record_size) :: !acc
+(* One domain's stream as an array in stream order (index = seq).
+   Within a domain the clock never goes back — every record ticks it —
+   so a decreasing stamp can only come from a corrupt recording, and
+   the merge below would silently misorder it. *)
+let decode_handle h =
+  let chunks =
+    Array.of_list
+      (List.rev ((h.cur, h.used) :: List.map (fun c -> (c, h.chunk_records)) h.filled))
+  in
+  let chunk = ref 0 and off = ref 0 and last = ref min_int in
+  Array.init h.total (fun seq ->
+      while !off = snd chunks.(!chunk) do
+        incr chunk;
+        off := 0
       done;
-      !acc)
-    chunks acc
+      let ev = decode_record h.pid seq (fst chunks.(!chunk)) (!off * record_size) in
+      incr off;
+      let lamport = event_lamport ev in
+      if lamport < !last then
+        invalid_arg
+          (Printf.sprintf "Recorder.events: domain %d's clock goes back at seq %d" h.pid seq);
+      last := lamport;
+      ev)
 
 let events t =
-  let all = Array.fold_left (fun acc h -> decode_handle h acc) [] t.handles in
   (* (lamport, pid, seq): a linear extension of happens-before — the
      clock discipline puts every send strictly before its deliver, and
      within a domain the clock (and seq) strictly increase, so program
      order survives the merge. pid breaks cross-domain ties
-     deterministically. *)
-  List.sort
-    (fun a b ->
-      let c = compare (event_lamport a) (event_lamport b) in
-      if c <> 0 then c
-      else
-        let c = compare (event_pid a) (event_pid b) in
-        if c <> 0 then c else compare (event_seq a) (event_seq b))
-    all
+     deterministically. Each stream is already in that order, so a
+     k-way merge yields it: taken from the back, always the greatest
+     remaining tail (ties on the clock to the larger pid), consed onto
+     the front. *)
+  let streams = Array.map decode_handle t.handles in
+  let left = Array.map Array.length streams in
+  let remaining = ref (Array.fold_left ( + ) 0 left) and acc = ref [] in
+  while !remaining > 0 do
+    let best = ref (-1) and best_lamport = ref min_int in
+    for pid = 0 to Array.length streams - 1 do
+      let k = left.(pid) in
+      if k > 0 then begin
+        let lamport = event_lamport streams.(pid).(k - 1) in
+        if lamport >= !best_lamport then begin
+          best := pid;
+          best_lamport := lamport
+        end
+      end
+    done;
+    let k = left.(!best) - 1 in
+    acc := streams.(!best).(k) :: !acc;
+    left.(!best) <- k;
+    decr remaining
+  done;
+  !acc

@@ -117,4 +117,9 @@ val event_wall : event -> float
 val events : t -> event list
 (** Decode and merge every domain's stream, sorted by
     [(lamport, pid, seq)]. Call after the writing domains have joined;
-    the recorder itself is not reset, so the call is repeatable. *)
+    the recorder itself is not reset, so the call is repeatable. Each
+    domain's stream is already in that order, so this is a k-way merge
+    rather than a sort.
+    @raise Invalid_argument if a domain's Lamport stamps decrease along
+    its stream (a corrupt recording; the stamping discipline never
+    produces one). *)

@@ -522,9 +522,9 @@ module Make (P : Protocol.PROTOCOL) = struct
 
   (* Latency distribution across every domain's invocations. *)
   let latency_summary result =
-    let all =
-      Array.to_list result.reports
-      |> List.concat_map (fun r -> Array.to_list r.latencies)
-    in
-    match all with [] -> None | l -> Some (Stats.summarize l)
+    match
+      Array.concat (Array.to_list (Array.map (fun r -> r.latencies) result.reports))
+    with
+    | [||] -> None
+    | all -> Some (Stats.summarize_array all)
 end

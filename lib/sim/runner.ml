@@ -71,7 +71,7 @@ module Make (P : Protocol.PROTOCOL) = struct
   type result = {
     history : (P.update, P.query, P.output) History.t;
     metrics : Metrics.t;
-    op_latencies : float list;
+    op_latencies : float array;
     final_outputs : (int * P.output) list;
     converged : bool;
     certificates : (int * (int * P.update) list) list;
@@ -80,8 +80,55 @@ module Make (P : Protocol.PROTOCOL) = struct
     metadata_bytes : (int * int) list;
     sim_duration : float;
     trace : Trace.t option;
-    intervals : (float * float) array;
+    intervals : Check_lin.intervals;
   }
+
+  (* One process's recorded operations in program order: their history
+     labels (which {!History.init} shares, not copies) with their
+     invocation and response times (unboxed), written by index — an
+     update's response lands in [finishes] when it returns. A process
+     records at most one operation per script entry plus its ω read,
+     so the arrays are sized once, from the script. *)
+  type track = {
+    mutable labels : (P.update, P.query, P.output) Uqadt.operation array;
+        (* allocated by the first [record], which supplies the filler *)
+    starts : float array;
+    finishes : float array;
+    mutable len : int;
+    mutable omega : int;  (* index of the ω read, or -1 *)
+  }
+
+  let track ~capacity =
+    {
+      labels = [||];
+      starts = Array.create_float capacity;
+      finishes = Array.create_float capacity;
+      len = 0;
+      omega = -1;
+    }
+
+  (* Appends one operation and returns its index in the process. *)
+  let record tr label ~start ~finish =
+    let i = tr.len in
+    if i = 0 then tr.labels <- Array.make (Array.length tr.starts) label;
+    tr.labels.(i) <- label;
+    tr.starts.(i) <- start;
+    tr.finishes.(i) <- finish;
+    tr.len <- i + 1;
+    i
+
+  (* The tracks' spans concatenated in event-id order (process-major,
+     as {!History.init} numbers events). *)
+  let concat_times tracks field =
+    let total = Array.fold_left (fun acc tr -> acc + tr.len) 0 tracks in
+    let all = Array.create_float total in
+    let at = ref 0 in
+    Array.iter
+      (fun tr ->
+        Array.blit (field tr) 0 all !at tr.len;
+        at := !at + tr.len)
+      tracks;
+    all
 
   let run config ~workload =
     let n = config.n in
@@ -272,13 +319,15 @@ module Make (P : Protocol.PROTOCOL) = struct
       maybe_sample ()
     in
     probe_after_delivery := maybe_probe;
-    (* Per-process recorded steps, reversed, with (start, finish ref)
-       intervals recorded in lockstep. *)
-    let steps : (P.update, P.query, P.output) History.step list ref array =
-      Array.init n (fun _ -> ref [])
+    (* Per-process recorded steps and spans; room for the whole script
+       plus the ω read. Latencies in completion order, unboxed. *)
+    let tracks =
+      Array.map (fun script -> track ~capacity:(List.length script + 1)) workload
     in
-    let op_times : (float * float ref) list ref array = Array.init n (fun _ -> ref []) in
-    let latencies = ref [] in
+    let latencies =
+      Array.create_float (Array.fold_left (fun acc s -> acc + List.length s) 0 workload)
+    in
+    let completed = ref 0 in
     (* Per-process broadcast buffers for window batching: the first
        broadcast of a window schedules a flush [batch_window] later;
        everything buffered until then leaves as one frame per
@@ -334,141 +383,132 @@ module Make (P : Protocol.PROTOCOL) = struct
     in
     (* Sequential script driver for one process. An offline process
        parks its remaining script instead of issuing: its client pauses
-       with it and resumes (with a fresh think gap) when it rejoins. *)
+       with it and resumes (with a fresh think gap) when it rejoins.
+       The per-operation steps are named functions of [run] rather than
+       closures built per invocation: an operation allocates only its
+       completion callback. *)
     let rec issue pid script =
       if crashed.(pid) then ()
       else if offline.(pid) then parked.(pid) <- Some script
       else begin
         match script with
         | [] -> ()
-        | action :: rest ->
-          let started = Engine.now engine in
-          let continue () =
-            if not crashed.(pid) then begin
-              metrics.Metrics.ops_completed <- metrics.Metrics.ops_completed + 1;
-              let elapsed = Engine.now engine -. started in
-              latencies := elapsed :: !latencies;
-              robs (fun ro ->
-                  Obs.Registry.inc ro.comp.(pid);
-                  Obs.Registry.observe ro.lat.(pid) elapsed);
-              Option.iter
-                (fun s ->
-                  Obs.Series.observe_latency s ~key:pid elapsed;
-                  Obs.Series.maybe_tick s ~now:(Engine.now engine))
-                config.sampler;
-              let gap = Network.draw_delay think_rngs.(pid) config.think in
-              Engine.schedule engine ~delay:gap (fun () -> issue pid rest)
-            end
-          in
-          (match action with
-          | Protocol.Invoke_update u ->
-            metrics.Metrics.updates_invoked <- metrics.Metrics.updates_invoked + 1;
-            robs (fun ro -> Obs.Registry.inc ro.upd.(pid));
-            steps.(pid) := History.U u :: !(steps.(pid));
-            let finish = ref Float.infinity in
-            op_times.(pid) := (started, finish) :: !(op_times.(pid));
-            Option.iter
-              (fun tr ->
-                Trace.record_op tr ~time:started ~pid
-                  (Format.asprintf "%a" P.pp_update u))
-              trace;
-            let do_update () =
-              P.update (replica pid) u ~on_done:(fun () ->
-                  finish := Engine.now engine;
-                  continue ())
-            in
-            (* Journal the invocation (and feed the monitor) before the
-               protocol runs, so the frames its broadcast produces land
-               after their cause in the journal. *)
-            let observe_update span =
-              if observing then begin
-                let index = next_index () in
-                jrecord (fun () ->
-                    Obs.Journal.Update
-                      {
-                        pid;
-                        time = started;
-                        span;
-                        label = Format.asprintf "%a" P.pp_update u;
-                      });
-                Option.iter
-                  (fun m -> Mon.on_update m ~pid ~index ~span u)
-                  config.monitor
-              end
-            in
-            (match config.obs with
-            | None ->
-              observe_update None;
-              do_update ()
-            | Some o ->
-              (* Open the update's span and leave it ambient while the
-                 protocol processes the invocation, so broadcasts it
-                 emits are stamped; the origin applies its own update
-                 synchronously (Section VII.B), recorded on return. *)
-              let span =
-                Obs.Span.fresh o.Obs.spans ~pid ~time:started
-                  ~label:(Format.asprintf "%a" P.pp_update u)
-              in
-              observe_update (Some span);
-              Obs.Span.set_active o.Obs.spans (Some span);
-              do_update ();
-              Obs.Span.record_apply o.Obs.spans ~span:(Some span) ~pid
-                ~time:(Engine.now engine);
-              Obs.Span.set_active o.Obs.spans None;
-              maybe_probe ())
-          | Protocol.Invoke_query q ->
-            metrics.Metrics.queries_invoked <- metrics.Metrics.queries_invoked + 1;
-            robs (fun ro -> Obs.Registry.inc ro.qry.(pid));
-            (* Queries get a local span (they never propagate, so it is
-               excluded from visibility metrics) purely so the journal
-               and monitor can cite a causal id for the read. *)
-            let qspan =
-              Option.map
-                (fun o ->
-                  Obs.Span.fresh ~local:true o.Obs.spans ~pid ~time:started
-                    ~label:(Format.asprintf "%a" P.pp_query q))
-                config.obs
-            in
-            let do_query () =
-              P.query (replica pid) q ~on_result:(fun output ->
-                  if not crashed.(pid) then begin
-                    steps.(pid) := History.Q (q, output) :: !(steps.(pid));
-                    op_times.(pid) :=
-                      (started, ref (Engine.now engine)) :: !(op_times.(pid));
-                    Option.iter
-                      (fun tr ->
-                        Trace.record_op tr ~time:(Engine.now engine) ~pid
-                          (Format.asprintf "%a/%a" P.pp_query q P.pp_output output))
-                      trace;
-                    if observing then begin
-                      let index = next_index () in
-                      jrecord (fun () ->
-                          Obs.Journal.Query
-                            {
-                              pid;
-                              invoked = started;
-                              completed = Engine.now engine;
-                              span = qspan;
-                              label = Format.asprintf "%a" P.pp_query q;
-                              output = Format.asprintf "%a" P.pp_output output;
-                              omega = false;
-                            });
-                      Option.iter
-                        (fun m ->
-                          Mon.on_query m ~pid ~index ~span:qspan ~omega:false q
-                            output)
-                        config.monitor
-                    end;
-                    continue ()
-                  end)
-            in
-            (match config.obs with
-            | None -> do_query ()
-            | Some o ->
-              Obs.Span.set_active o.Obs.spans qspan;
-              do_query ();
-              Obs.Span.set_active o.Obs.spans None))
+        | Protocol.Invoke_update u :: rest ->
+          invoke_update pid u ~started:(Engine.now engine) rest
+        | Protocol.Invoke_query q :: rest ->
+          invoke_query pid q ~started:(Engine.now engine) rest
       end
+    (* An operation returned: account for it and schedule the process's
+       next invocation a think-time later. *)
+    and complete pid ~started rest =
+      if not crashed.(pid) then begin
+        metrics.Metrics.ops_completed <- metrics.Metrics.ops_completed + 1;
+        let elapsed = Engine.now engine -. started in
+        latencies.(!completed) <- elapsed;
+        incr completed;
+        (match runner_obs with
+        | None -> ()
+        | Some ro ->
+          Obs.Registry.inc ro.comp.(pid);
+          Obs.Registry.observe ro.lat.(pid) elapsed);
+        (match config.sampler with
+        | None -> ()
+        | Some s ->
+          Obs.Series.observe_latency s ~key:pid elapsed;
+          Obs.Series.maybe_tick s ~now:(Engine.now engine));
+        let gap = Network.draw_delay think_rngs.(pid) config.think in
+        Engine.schedule engine ~delay:gap (fun () -> issue pid rest)
+      end
+    and invoke_update pid u ~started rest =
+      metrics.Metrics.updates_invoked <- metrics.Metrics.updates_invoked + 1;
+      (match runner_obs with None -> () | Some ro -> Obs.Registry.inc ro.upd.(pid));
+      let tk = tracks.(pid) in
+      let i = record tk (Uqadt.Update u) ~start:started ~finish:Float.infinity in
+      (match trace with
+      | None -> ()
+      | Some tr ->
+        Trace.record_op tr ~time:started ~pid (Format.asprintf "%a" P.pp_update u));
+      let on_done () =
+        tk.finishes.(i) <- Engine.now engine;
+        complete pid ~started rest
+      in
+      (* Journal the invocation (and feed the monitor) before the
+         protocol runs, so the frames its broadcast produces land after
+         their cause in the journal. *)
+      match config.obs with
+      | None ->
+        if observing then observe_update pid u ~started None;
+        P.update (replica pid) u ~on_done
+      | Some o ->
+        (* Open the update's span and leave it ambient while the
+           protocol processes the invocation, so broadcasts it emits
+           are stamped; the origin applies its own update synchronously
+           (Section VII.B), recorded on return. *)
+        let span =
+          Obs.Span.fresh o.Obs.spans ~pid ~time:started
+            ~label:(Format.asprintf "%a" P.pp_update u)
+        in
+        if observing then observe_update pid u ~started (Some span);
+        Obs.Span.set_active o.Obs.spans (Some span);
+        P.update (replica pid) u ~on_done;
+        Obs.Span.record_apply o.Obs.spans ~span:(Some span) ~pid
+          ~time:(Engine.now engine);
+        Obs.Span.set_active o.Obs.spans None;
+        maybe_probe ()
+    and observe_update pid u ~started span =
+      let index = next_index () in
+      jrecord (fun () ->
+          Obs.Journal.Update
+            { pid; time = started; span; label = Format.asprintf "%a" P.pp_update u });
+      Option.iter (fun m -> Mon.on_update m ~pid ~index ~span u) config.monitor
+    and invoke_query pid q ~started rest =
+      metrics.Metrics.queries_invoked <- metrics.Metrics.queries_invoked + 1;
+      (match runner_obs with None -> () | Some ro -> Obs.Registry.inc ro.qry.(pid));
+      (* Queries get a local span (they never propagate, so it is
+         excluded from visibility metrics) purely so the journal and
+         monitor can cite a causal id for the read. *)
+      let qspan =
+        Option.map
+          (fun o ->
+            Obs.Span.fresh ~local:true o.Obs.spans ~pid ~time:started
+              ~label:(Format.asprintf "%a" P.pp_query q))
+          config.obs
+      in
+      let on_result output =
+        if not crashed.(pid) then begin
+          let now = Engine.now engine in
+          ignore (record tracks.(pid) (Uqadt.Query (q, output)) ~start:started ~finish:now : int);
+          (match trace with
+          | None -> ()
+          | Some tr ->
+            Trace.record_op tr ~time:now ~pid
+              (Format.asprintf "%a/%a" P.pp_query q P.pp_output output));
+          if observing then begin
+            let index = next_index () in
+            jrecord (fun () ->
+                Obs.Journal.Query
+                  {
+                    pid;
+                    invoked = started;
+                    completed = now;
+                    span = qspan;
+                    label = Format.asprintf "%a" P.pp_query q;
+                    output = Format.asprintf "%a" P.pp_output output;
+                    omega = false;
+                  });
+            Option.iter
+              (fun m -> Mon.on_query m ~pid ~index ~span:qspan ~omega:false q output)
+              config.monitor
+          end;
+          complete pid ~started rest
+        end
+      in
+      match config.obs with
+      | None -> P.query (replica pid) q ~on_result
+      | Some o ->
+        Obs.Span.set_active o.Obs.spans qspan;
+        P.query (replica pid) q ~on_result;
+        Obs.Span.set_active o.Obs.spans None
     in
     Array.iteri
       (fun pid script ->
@@ -621,10 +661,9 @@ module Make (P : Protocol.PROTOCOL) = struct
           in
           let do_query () =
             P.query (replica pid) q ~on_result:(fun output ->
-                steps.(pid) := History.Qw (q, output) :: !(steps.(pid));
-                op_times.(pid) :=
-                  (Engine.now engine, ref (Engine.now engine))
-                  :: !(op_times.(pid));
+                let now = Engine.now engine in
+                let tk = tracks.(pid) in
+                tk.omega <- record tk (Uqadt.Query (q, output)) ~start:now ~finish:now;
                 Option.iter
                   (fun tr ->
                     Trace.record_op tr ~time:(Engine.now engine) ~pid
@@ -690,9 +729,10 @@ module Make (P : Protocol.PROTOCOL) = struct
           rest
     in
     let intervals =
-      Array.to_list op_times
-      |> List.concat_map (fun r -> List.rev_map (fun (s, f) -> (s, !f)) !r)
-      |> Array.of_list
+      {
+        Check_lin.starts = concat_times tracks (fun tr -> tr.starts);
+        finishes = concat_times tracks (fun tr -> tr.finishes);
+      }
     in
     Option.iter
       (fun o ->
@@ -700,7 +740,10 @@ module Make (P : Protocol.PROTOCOL) = struct
         Metrics.to_registry metrics o.Obs.registry)
       config.obs;
     let history =
-      History.make (List.map (fun r -> List.rev !r) (Array.to_list steps))
+      History.init n
+        ~length:(fun pid -> tracks.(pid).len)
+        ~label:(fun pid i -> tracks.(pid).labels.(i))
+        ~omega:(fun pid i -> i = tracks.(pid).omega)
     in
     Option.iter
       (fun j ->
@@ -711,7 +754,7 @@ module Make (P : Protocol.PROTOCOL) = struct
     {
       history;
       metrics;
-      op_latencies = List.rev !latencies;
+      op_latencies = Array.sub latencies 0 !completed;
       final_outputs;
       converged;
       certificates;

@@ -93,8 +93,14 @@ module Make (P : Protocol.PROTOCOL) : sig
 
   type result = {
     history : (P.update, P.query, P.output) History.t;
+        (** built with {!History.init} from the per-process label
+            arrays the run records into (an update when invoked, a query
+            when it answers, the ω read last), sharing those labels. *)
     metrics : Metrics.t;
-    op_latencies : float list;
+    op_latencies : float array;
+        (** unboxed: one simulated latency per completed non-ω
+            operation, in completion order, so its length is
+            [metrics.ops_completed]. *)
     final_outputs : (int * P.output) list;  (** completed final reads *)
     converged : bool;  (** all completed final reads are equal *)
     certificates : (int * (int * P.update) list) list;
@@ -103,11 +109,12 @@ module Make (P : Protocol.PROTOCOL) : sig
     metadata_bytes : (int * int) list;
     sim_duration : float;
     trace : Trace.t option;  (** present iff [config.trace] *)
-    intervals : (float * float) array;
+    intervals : Check_lin.intervals;
         (** per history event (indexed by event id): invocation and
-            response times. An update that never completed (a stalled
-            quorum operation) has an infinite response time. Feed these
-            to {!Check_lin} to decide linearizability of the run. *)
+            response times, as two unboxed arrays. An update that never
+            completed (a stalled quorum operation) has an infinite
+            response time. Feed these to {!Check_lin} to decide
+            linearizability of the run. *)
   }
 
   val run : config -> workload:action list array -> result

@@ -37,22 +37,84 @@ let percentile sorted q =
     sorted.(lo) +. (frac *. (sorted.(hi) -. sorted.(lo)))
   end
 
-let summarize xs =
-  match xs with
-  | [] -> invalid_arg "Stats.summarize: empty sample"
-  | _ ->
-    let sorted = Array.of_list xs in
-    Array.sort Float.compare sorted;
-    {
-      count = Array.length sorted;
-      mean = mean xs;
-      stddev = stddev xs;
-      min = sorted.(0);
-      max = sorted.(Array.length sorted - 1);
-      p50 = percentile sorted 0.5;
-      p90 = percentile sorted 0.9;
-      p99 = percentile sorted 0.99;
-    }
+(* Ascending in-place sort in [Float.compare]'s order (NaNs first) with
+   every comparison inline on unboxed elements: [Array.sort
+   Float.compare] boxes both operands of each comparison it makes
+   through the closure. NaNs are moved to the front first, so the merge
+   sort below only ever compares ordinary floats with [<=]. *)
+let sort_floats (a : float array) =
+  let n = Array.length a in
+  let lo = ref 0 in
+  for i = 0 to n - 1 do
+    let x = a.(i) in
+    if Float.is_nan x then begin
+      a.(i) <- a.(!lo);
+      a.(!lo) <- x;
+      incr lo
+    end
+  done;
+  (* Top-down merge sort of [a.(lo .. hi-1)], ping-ponging with [tmp]
+     (which holds the same elements on entry) so each level copies
+     nothing; short runs are insertion-sorted in place. *)
+  let rec sort (a : float array) (tmp : float array) lo hi =
+    if hi - lo <= 16 then
+      for i = lo + 1 to hi - 1 do
+        let x = a.(i) in
+        let j = ref (i - 1) in
+        while !j >= lo && a.(!j) > x do
+          a.(!j + 1) <- a.(!j);
+          decr j
+        done;
+        a.(!j + 1) <- x
+      done
+    else begin
+      let mid = (lo + hi) lsr 1 in
+      sort tmp a lo mid;
+      sort tmp a mid hi;
+      let i = ref lo and j = ref mid in
+      for k = lo to hi - 1 do
+        if !j >= hi || (!i < mid && tmp.(!i) <= tmp.(!j)) then begin
+          a.(k) <- tmp.(!i);
+          incr i
+        end
+        else begin
+          a.(k) <- tmp.(!j);
+          incr j
+        end
+      done
+    end
+  in
+  if n - !lo > 1 then sort a (Array.copy a) !lo n
+
+let summarize_array xs =
+  let n = Array.length xs in
+  if n = 0 then invalid_arg "Stats.summarize: empty sample";
+  (* Mean and deviation in sample order, before the sort, exactly as
+     the list folds of [mean] and [stddev] sum them. *)
+  let sum = ref 0.0 in
+  for i = 0 to n - 1 do
+    sum := !sum +. xs.(i)
+  done;
+  let m = !sum /. float_of_int n in
+  let sq = ref 0.0 in
+  for i = 0 to n - 1 do
+    let d = xs.(i) -. m in
+    sq := !sq +. (d *. d)
+  done;
+  let var = !sq /. float_of_int n in
+  sort_floats xs;
+  {
+    count = n;
+    mean = m;
+    stddev = sqrt (Float.max 0.0 var);
+    min = xs.(0);
+    max = xs.(n - 1);
+    p50 = percentile xs 0.5;
+    p90 = percentile xs 0.9;
+    p99 = percentile xs 0.99;
+  }
+
+let summarize xs = summarize_array (Array.of_list xs)
 
 let pp_summary ppf s =
   Format.fprintf ppf

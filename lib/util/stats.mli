@@ -12,7 +12,16 @@ type summary = {
 }
 
 val summarize : float list -> summary
-(** Summary of a non-empty sample; raises [Invalid_argument] on []. *)
+(** Summary of a non-empty sample; raises [Invalid_argument] on [[]].
+    {!summarize_array} over the list's elements. *)
+
+val summarize_array : float array -> summary
+(** {!summarize} over an unboxed sample, which it {e sorts in place}
+    (ascending, NaNs first, as [Float.compare] orders them) by a
+    monomorphic merge sort — no element is boxed. Mean and deviation
+    are summed in the array's original order, so the summary of
+    [Array.of_list xs] is bit-identical to [summarize xs]. Raises
+    [Invalid_argument] on an empty array. *)
 
 val percentile : float array -> float -> float
 (** [percentile sorted q] with [q] in [\[0,1\]]; [sorted] must be sorted

@@ -45,7 +45,7 @@ let tests =
           }
         in
         let r = R.run config ~workload:[| [ upd 1; qry ]; []; [] |] in
-        List.iter
+        Array.iter
           (fun l -> Alcotest.(check (float 1e-6)) "two round trips" 40.0 l)
           r.R.op_latencies);
     Alcotest.test_case "minority survivor cannot finish operations" `Quick (fun () ->

@@ -8,6 +8,7 @@
 open Helpers
 module P = Persist.Catchup (Generic.Make (Set_spec)) (Update_codec.For_set)
 module R = Runner.Make (P)
+module Set_workload = Workload.Make (Set_spec)
 
 let churn_schedule =
   [
@@ -33,6 +34,79 @@ let run_churn ?(churn = churn_schedule) ?(partitions = []) ?obs ~seed ~n ~ops ()
     }
   in
   R.run config ~workload
+
+(* The runner's array-backed bookkeeping on a run with every fault
+   kind and queries: the history is what [History.make] builds from its
+   own per-process steps, every event's span is the one the journal
+   recorded for it (updates complete synchronously under Algorithm 1,
+   ω reads are instantaneous), and there is one latency per completed
+   operation. *)
+let runner_bookkeeping () =
+  let n = 4 in
+  let journal = Obs.Journal.create () in
+  let obs = Obs.create ~journal () in
+  let workload =
+    Set_workload.mixed ~rng:(Prng.create 17) ~n ~ops_per_process:12 ~query_ratio:0.4
+  in
+  let config =
+    {
+      (R.default_config ~n ~seed:17) with
+      R.delay = Network.Exponential { mean = 10.0 };
+      churn = churn_schedule;
+      partitions = [ { Network.from_time = 25.0; to_time = 55.0; group = [ 1 ] } ];
+      crashes = [ (40.0, 0) ];
+      final_read = Some Set_spec.Read;
+      obs = Some obs;
+    }
+  in
+  let r = R.run config ~workload in
+  let h = r.R.history in
+  Alcotest.(check bool) "history = make of its steps" true
+    (History.make (List.init n (History.steps_of_process h)) = h);
+  Alcotest.(check bool) "p0 crashed before its ω read" true
+    (not (List.mem_assoc 0 r.R.final_outputs));
+  let { Check_lin.starts; finishes } = r.R.intervals in
+  Alcotest.(check int) "one start per event" (History.size h) (Array.length starts);
+  Alcotest.(check int) "one finish per event" (History.size h) (Array.length finishes);
+  let pending = Array.init n (History.process_events h) in
+  let next pid =
+    match pending.(pid) with
+    | e :: rest ->
+      pending.(pid) <- rest;
+      e
+    | [] -> Alcotest.failf "journal has more operations than p%d's history" pid
+  in
+  let span (e : _ History.event) =
+    (starts.(e.History.id), finishes.(e.History.id))
+  in
+  let queries = ref 0 in
+  List.iter
+    (function
+      | Obs.Journal.Update { pid; time; _ } ->
+        let e = next pid in
+        Alcotest.(check bool) "an update" true (History.update_of e <> None);
+        Alcotest.(check (pair (float 0.0) (float 0.0))) "update span" (time, time) (span e)
+      | Obs.Journal.Query { pid; invoked; completed; omega; _ } ->
+        incr queries;
+        let e = next pid in
+        Alcotest.(check bool) "a query" true (History.query_of e <> None);
+        Alcotest.(check bool) "ω flag" omega e.History.omega;
+        Alcotest.(check (pair (float 0.0) (float 0.0)))
+          "query span"
+          ((if omega then completed else invoked), completed)
+          (span e)
+      | _ -> ())
+    (Obs.Journal.events journal);
+  Alcotest.(check bool) "ran queries" true (!queries > n);
+  Array.iteri
+    (fun pid rest ->
+      Alcotest.(check int) (Printf.sprintf "p%d fully journaled" pid) 0 (List.length rest))
+    pending;
+  let completed = r.R.metrics.Metrics.ops_completed in
+  Alcotest.(check int) "one latency per completed op" completed
+    (Array.length r.R.op_latencies);
+  Alcotest.(check int) "every non-ω event completed" completed
+    (List.length (List.filter (fun e -> not e.History.omega) (History.events h)))
 
 let tests =
   [
@@ -136,4 +210,6 @@ let tests =
         Alcotest.(check bool) "sealed" true (Obs.Journal.fingerprint j1 <> None);
         Alcotest.(check (option string)) "same history fingerprint"
           (Obs.Journal.fingerprint j1) (Obs.Journal.fingerprint j2));
+    Alcotest.test_case "runner bookkeeping agrees with the journal" `Quick
+      runner_bookkeeping;
   ]

@@ -7,7 +7,11 @@ open Helpers
 module Lin_reg = Check_lin.Make (Register_spec)
 
 let timed steps intervals =
-  (History.make steps, Array.of_list intervals)
+  ( History.make steps,
+    {
+      Check_lin.starts = Array.of_list (List.map fst intervals);
+      finishes = Array.of_list (List.map snd intervals);
+    } )
 
 let unit_tests =
   [

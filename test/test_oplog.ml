@@ -181,6 +181,62 @@ let model_tests =
         run (20 + Prng.int rng 60));
   ]
 
+(* In-place log equality against the list equality it replaced: the
+   second log is the first, or the first with one entry's payload or
+   origin changed (same key), one entry dropped, or nothing at all,
+   inserted in its own shuffled order so the arena slots differ. *)
+module Uni = Generic.Make (Set_spec)
+
+let log_pair rng =
+  let a = entry_batch rng in
+  let arr = Array.of_list a in
+  let n = Array.length arr in
+  let b =
+    match Prng.int rng 5 with
+    | 1 when n > 0 ->
+      let i = Prng.int rng n in
+      let ts, origin, u = arr.(i) in
+      let rec other () =
+        let v = Set_spec.random_update rng in
+        if Set_spec.equal_update u v then other () else v
+      in
+      arr.(i) <- (ts, origin, other ());
+      Array.to_list arr
+    | 2 when n > 0 ->
+      let i = Prng.int rng n in
+      let ts, origin, u = arr.(i) in
+      arr.(i) <- (ts, origin + 1, u);
+      Array.to_list arr
+    | 3 when n > 0 ->
+      let i = Prng.int rng n in
+      List.filteri (fun j _ -> j <> i) a
+    | 4 -> []
+    | _ -> a
+  in
+  (a, List.rev b)
+
+let same_log_tests =
+  [
+    qtest ~count:500 "equal_entries agrees with list equality" seed_gen (fun seed ->
+        let rng = Prng.create seed in
+        let a, b = log_pair rng in
+        let la = Oplog.create () and lb = Oplog.create () in
+        insert_all la a;
+        insert_all lb b;
+        Oplog.equal_entries ~equal:Set_spec.equal_update la lb
+        = (Oplog.to_list la = Oplog.to_list lb)
+        && Oplog.equal_entries ~equal:Set_spec.equal_update lb la
+           = (Oplog.to_list la = Oplog.to_list lb));
+    qtest ~count:300 "same_log agrees with local_log equality" seed_gen (fun seed ->
+        let rng = Prng.create seed in
+        let a, b = log_pair rng in
+        let ra = Uni.create (Throughput.dummy_ctx ~pid:0 ~n:1) in
+        let rb = Uni.create (Throughput.dummy_ctx ~pid:0 ~n:1) in
+        Uni.restore_log ra a;
+        Uni.restore_log rb b;
+        Uni.same_log ra rb = (Uni.local_log ra = Uni.local_log rb));
+  ]
+
 let tests =
   model_tests
   @ [
@@ -570,3 +626,4 @@ let tests =
             Alcotest.(check bool) "landed mid-log" true (pos < Oplog.length log - 1))
           late);
   ]
+  @ same_log_tests

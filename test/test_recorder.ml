@@ -436,6 +436,69 @@ let rejects_bad_create () =
     (Invalid_argument "Recorder.create: chunk must be positive") (fun () ->
       ignore (R.create ~chunk:0 ~domains:1 ()))
 
+(* The k-way merge against the sort it replaced. A model of the
+   stamping discipline builds every domain's expected stream alongside
+   the recording; the old order — decode everything, then sort by
+   (lamport, pid, seq) — is kept here as the oracle over their union. *)
+let old_sort evs = List.sort (fun a b -> compare (sort_key a) (sort_key b)) evs
+
+let merge_matches_sort seed =
+  let rng = Prng.create seed in
+  let domains = 1 + Prng.int rng 6 in
+  let steps = Prng.int rng 400 in
+  let r = R.create ~now:(counter_clock ()) ~chunk:(1 + Prng.int rng 8) ~domains () in
+  let lam = Array.make domains 0 and seq = Array.make domains 0 in
+  let dseq = Array.make domains 0 and wall = ref (-0.5) in
+  let model = Array.make domains [] in
+  let inbox = Array.init domains (fun _ -> Queue.create ()) in
+  for _ = 1 to steps do
+    let pid = Prng.int rng domains in
+    let h = R.handle r pid in
+    (* Every record ticks the domain clock, takes the next seq and reads
+       the injected clock once. *)
+    let stamp ?(from = 0) () =
+      lam.(pid) <- max from lam.(pid) + 1;
+      let s = seq.(pid) in
+      seq.(pid) <- s + 1;
+      wall := !wall +. 0.5;
+      (s, lam.(pid), !wall)
+    in
+    let ev =
+      match Prng.int rng 5 with
+      | 0 ->
+        R.invoke_update h;
+        let seq, lamport, wall = stamp () in
+        R.Invoke_update { pid; seq; lamport; wall }
+      | 1 ->
+        let omega = Prng.bool rng in
+        R.invoke_query h ~omega;
+        let seq, lamport, wall = stamp () in
+        R.Invoke_query { pid; seq; lamport; wall; omega }
+      | 2 ->
+        let dst = Prng.int rng domains and count = 1 + Prng.int rng 3 in
+        let bytes = Prng.int rng 64 in
+        let sent = R.send h ~dst ~count ~bytes in
+        let seq, lamport, wall = stamp () in
+        assert (sent = lamport);
+        Queue.push (pid, count, lamport) inbox.(dst);
+        R.Send { pid; seq; lamport; wall; dst; count; bytes }
+      | 3 when not (Queue.is_empty inbox.(pid)) ->
+        let src, count, frame_lamport = Queue.pop inbox.(pid) in
+        R.deliver h ~src ~count ~frame_lamport;
+        let seq, lamport, wall = stamp ~from:frame_lamport () in
+        let d = dseq.(pid) in
+        dseq.(pid) <- d + 1;
+        R.Deliver { pid; seq; lamport; wall; src; count; dseq = d }
+      | _ ->
+        let dst = Prng.int rng domains in
+        R.stall h ~dst;
+        let seq, lamport, wall = stamp () in
+        R.Stall { pid; seq; lamport; wall; dst }
+    in
+    model.(pid) <- ev :: model.(pid)
+  done;
+  R.events r = old_sort (List.concat_map List.rev (Array.to_list model))
+
 let tests =
   [
     Alcotest.test_case "Lamport/seq/wall stamping discipline" `Quick
@@ -454,4 +517,6 @@ let tests =
     Alcotest.test_case "clean run: monitor agrees with batch checker" `Quick
       clean_run_agreement;
     Alcotest.test_case "malformed create rejected" `Quick rejects_bad_create;
+    qtest ~count:300 "merge equals the (lamport, pid, seq) sort" seed_gen
+      merge_matches_sort;
   ]

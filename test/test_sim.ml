@@ -525,6 +525,102 @@ let engine_model_tests =
           true (per_dest <= 15.0));
   ]
 
+(* The Proposition 4 differential's sequential clause in miniature:
+   two replicas of Algorithm 1 on the counter, every invocation an
+   update, through [Runner] with its default config. The gate is on
+   the Runner's own share: the same scripts driven over a bare engine
+   and network (the protocol and network path, plus the one completion
+   callback and next-invocation thunk any sequential driver needs) are
+   measured too, and only the difference is bounded, so a change in
+   how the compiler treats the protocol or the network moves both
+   sides alike. *)
+let runner_alloc_tests =
+  [
+    Alcotest.test_case "a 2-replica counter run allocates a bounded number of words per op"
+      `Quick (fun () ->
+        let module B = Throughput.Bench (Counter_spec) in
+        let module Seq = Runner.Make (B.G) in
+        let ops = 5_000 in
+        let scripts = B.uniform_scripts ~seed:1 ~domains:2 ~ops ~query_ratio:0.0 in
+        let config =
+          { (Seq.default_config ~n:2 ~seed:0) with Seq.final_read = Some Counter_spec.Value }
+        in
+        let per_op words = words /. float_of_int (2 * ops) in
+        let bare () =
+          let engine = Engine.create () in
+          let replicas = Array.make 2 None in
+          let net =
+            Network.create ~engine ~rng:(Prng.create 1) ~metrics:(Metrics.create ()) ~n:2
+              ~delay:config.Seq.delay ~wire_size:B.G.message_wire_size
+              ~deliver:(fun ~dst ~src msg ->
+                match replicas.(dst) with Some r -> B.G.receive r ~src msg | None -> ())
+              ()
+          in
+          let think = Prng.create 2 in
+          let replica pid =
+            B.G.create
+              {
+                Protocol.pid;
+                n = 2;
+                now = (fun () -> Engine.now engine);
+                send = (fun ~dst msg -> Network.send net ~src:pid ~dst msg);
+                broadcast = (fun msg -> Network.broadcast net ~src:pid msg);
+                broadcast_batch = (fun msgs -> Network.broadcast_batch net ~src:pid msgs);
+                set_timer = (fun ~delay thunk -> Engine.schedule engine ~delay thunk);
+                count_replay = ignore;
+                obs = None;
+              }
+          in
+          let rec issue r = function
+            | Protocol.Invoke_update u :: rest ->
+              B.G.update r u ~on_done:(fun () ->
+                  Engine.schedule engine
+                    ~delay:(Network.draw_delay think config.Seq.think)
+                    (fun () -> issue r rest))
+            | Protocol.Invoke_query _ :: _ | [] -> ()
+          in
+          Array.iteri
+            (fun pid script ->
+              let r = replica pid in
+              replicas.(pid) <- Some r;
+              Engine.schedule engine
+                ~delay:(Network.draw_delay think config.Seq.think)
+                (fun () -> issue r script))
+            scripts;
+          Engine.run engine;
+          Array.map
+            (fun r ->
+              let out = ref None in
+              B.G.query (Option.get r) Counter_spec.Value ~on_result:(fun o -> out := Some o);
+              !out)
+            replicas
+        in
+        let before = Stdlib.Gc.minor_words () in
+        let outs = bare () in
+        let bare_words = Stdlib.Gc.minor_words () -. before in
+        let before = Stdlib.Gc.minor_words () in
+        let r = Seq.run config ~workload:scripts in
+        let run_words = Stdlib.Gc.minor_words () -. before in
+        Alcotest.(check bool) "converged" true (r.Seq.converged && r.Seq.certificates_agree);
+        Alcotest.(check bool) "same ω reads" true
+          (Array.for_all (fun o -> o = Some (snd (List.hd r.Seq.final_outputs))) outs);
+        (* Measured: 80.4 words per op for the Runner run and 59.3 for
+           the bare path, so the Runner's own share is 21.1: per op the
+           history event (6) and the label it shares with the Runner's
+           track (2), a cons and a pair in each of the two replicas'
+           certificate lists (12), and the extra captures of its
+           completion callback. The parent, which kept steps, spans and
+           latencies in lists and built each operation's driver closures
+           afresh, measures 127.1 (186.4 against the same 59.3). The
+           bound of 30 leaves room for a few words of closure layout
+           and stays far below the list bookkeeping. *)
+        let share = per_op run_words -. per_op bare_words in
+        Alcotest.(check bool)
+          (Printf.sprintf "runner share %.1f words per op (run %.1f, bare %.1f) <= 30" share
+             (per_op run_words) (per_op bare_words))
+          true (share <= 30.0));
+  ]
+
 let tests =
   engine_tests @ network_tests @ batch_tests @ metrics_tests @ runner_tests
-  @ engine_model_tests
+  @ engine_model_tests @ runner_alloc_tests

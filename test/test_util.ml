@@ -598,8 +598,63 @@ let prng_pin_tests =
         Alcotest.(check (float 0.0)) "minor words" 0.0 words);
   ]
 
+(* The unboxed summary against the list summary it replaced, kept here
+   as the oracle: boxed sort through [Float.compare], mean and deviation
+   folded over the list. *)
+let old_summarize xs =
+  let sorted = Array.of_list xs in
+  Array.sort Float.compare sorted;
+  let n = float_of_int (List.length xs) in
+  let m = List.fold_left ( +. ) 0.0 xs /. n in
+  let var = List.fold_left (fun acc x -> acc +. ((x -. m) *. (x -. m))) 0.0 xs /. n in
+  {
+    Stats.count = Array.length sorted;
+    mean = m;
+    stddev = sqrt (Float.max 0.0 var);
+    min = sorted.(0);
+    max = sorted.(Array.length sorted - 1);
+    p50 = Stats.percentile sorted 0.5;
+    p90 = Stats.percentile sorted 0.9;
+    p99 = Stats.percentile sorted 0.99;
+  }
+
+let summary_bits (s : Stats.summary) =
+  ( s.count,
+    List.map Int64.bits_of_float [ s.mean; s.stddev; s.min; s.max; s.p50; s.p90; s.p99 ] )
+
+(* Non-negative samples, as latencies are: few distinct values (many
+   duplicates), singletons, all-equal runs, and wide spreads. *)
+let sample_gen =
+  let open QCheck2.Gen in
+  let nonneg = map (fun x -> if Float.is_nan x then 0.0 else Float.abs x) float in
+  oneof
+    [
+      list_size (int_range 1 300) (map float_of_int (int_range 0 5));
+      map (fun x -> [ x ]) nonneg;
+      map2 (fun n x -> List.init n (fun _ -> x)) (int_range 1 100) nonneg;
+      list_size (int_range 1 2000) (float_range 0.0 1e6);
+      list_size (int_range 1 100) nonneg;
+    ]
+
+let summary_array_tests =
+  [
+    qtest ~count:500 "array summary is bit-identical to the list summary" sample_gen
+      (fun xs ->
+        let want = summary_bits (old_summarize xs) in
+        summary_bits (Stats.summarize_array (Array.of_list xs)) = want
+        && summary_bits (Stats.summarize xs) = want);
+    Alcotest.test_case "array summary sorts in place, NaNs first" `Quick (fun () ->
+        let a = [| 3.0; Float.nan; 1.0; 2.0; Float.nan; 0.5 |] in
+        ignore (Stats.summarize_array a : Stats.summary);
+        Alcotest.(check bool) "nans first" true (Float.is_nan a.(0) && Float.is_nan a.(1));
+        Alcotest.(check (list (float 0.0))) "then ascending" [ 0.5; 1.0; 2.0; 3.0 ]
+          (Array.to_list (Array.sub a 2 4));
+        Alcotest.check_raises "empty" (Invalid_argument "Stats.summarize: empty sample")
+          (fun () -> ignore (Stats.summarize_array [||])));
+  ]
+
 let tests =
   prng_tests @ fork_tests @ bitset_tests @ stats_tests
   @ slo_tests @ window_tests @ sha256_tests @ wire_tests @ zipf_tests
   @ table_tests @ dag_tests
-  @ prng_pin_tests
+  @ prng_pin_tests @ summary_array_tests
