@@ -19,18 +19,7 @@ open Toolkit
    a no-op network, pre-loaded with a log of the given length.          *)
 (* ------------------------------------------------------------------ *)
 
-let dummy_ctx ~pid ~n : _ Protocol.ctx =
-  {
-    Protocol.pid;
-    n;
-    now = (fun () -> 0.0);
-    send = (fun ~dst:_ _ -> ());
-    broadcast = (fun _ -> ());
-    broadcast_batch = (fun _ -> ());
-    set_timer = (fun ~delay:_ _ -> ());
-    count_replay = (fun _ -> ());
-    obs = None;
-  }
+let dummy_ctx = Throughput.dummy_ctx
 
 module Uni_set = Generic.Make (Set_spec)
 module Uni_list = Generic_ref.Make (Set_spec)

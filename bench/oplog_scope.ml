@@ -36,17 +36,7 @@ let obs =
   if Array.exists (( = ) "--obs") Sys.argv then Some (Obs.create ()) else None
 
 let dummy_ctx ~pid ~n : _ Protocol.ctx =
-  {
-    Protocol.pid;
-    n;
-    now = (fun () -> 0.0);
-    send = (fun ~dst:_ _ -> ());
-    broadcast = (fun _ -> ());
-    broadcast_batch = (fun _ -> ());
-    set_timer = (fun ~delay:_ _ -> ());
-    count_replay = (fun _ -> ());
-    obs = Option.map (fun o -> Obs.replica o pid) obs;
-  }
+  { (Throughput.dummy_ctx ~pid ~n) with obs = Option.map (fun o -> Obs.replica o pid) obs }
 
 module L = Generic_ref.Make (Set_spec)
 

@@ -5,7 +5,7 @@
    update batches (fanout up to 3) over a 1024-key domain, routed
    through a static consistent-hash ring, one Algorithm 1 core per
    shard. Every cell is a full shard-aware Proposition 4 differential
-   ([Throughput.Sharded]): per-shard logs pairwise equal across
+   ([Throughput.Space_bench]): per-shard logs pairwise equal across
    replicas, ω sweeps equal to the keyed timestamp fold, the UCX
    snapshot/absorb restore agreeing, and keyed sub-updates conserved.
 
@@ -16,7 +16,7 @@
    `--smoke` restricts the sweep to shards in {1, 8} at one skew (CI
    budget). *)
 
-module B = Throughput.Sharded (Set_spec) (Update_codec.For_set)
+module B = Throughput.Space_bench (Set_spec) (Update_codec.For_set)
 
 let () =
   let smoke = Array.exists (( = ) "--smoke") Sys.argv in
@@ -40,25 +40,28 @@ let () =
                 ~query_ratio:0.1
             in
             let v = B.measure ~shards ~domains ~scripts () in
-            let r = B.row ~keys ~skew ~fanout v in
-            if not r.Throughput.shard_ok then
+            let r = B.row ~ops_per_domain:ops ~shards ~keys ~skew ~fanout v in
+            if not r.Throughput.ok then
               failures := Printf.sprintf "shards=%d skew=%g" shards skew
                           :: !failures;
             r)
           skews)
       shard_counts
   in
-  Printf.printf "%-8s %6s %8s %6s %12s %14s %10s %10s %6s\n" "spec" "shards"
+  Printf.printf "%-10s %6s %8s %6s %12s %14s %10s %10s %6s\n" "spec" "shards"
     "skew" "keys" "keyed-ops" "ops/sec" "log min" "log max" "ok";
   List.iter
-    (fun (r : Throughput.shard_row) ->
-      Printf.printf "%-8s %6d %8.2f %6d %12d %14.0f %10d %10d %6b\n"
-        r.Throughput.shard_spec r.Throughput.shards r.Throughput.skew
-        r.Throughput.keys r.Throughput.keyed_updates
-        r.Throughput.shard_ops_per_sec r.Throughput.shard_log_min
-        r.Throughput.shard_log_max r.Throughput.shard_ok)
+    (fun (r : Throughput.row) ->
+      Option.iter
+        (fun (s : Throughput.sharding) ->
+          Printf.printf "%-10s %6d %8.2f %6d %12d %14.0f %10d %10d %6b\n"
+            r.Throughput.spec s.Throughput.shards s.Throughput.skew
+            s.Throughput.keys r.Throughput.updates r.Throughput.ops_per_sec
+            s.Throughput.shard_log_min s.Throughput.shard_log_max
+            r.Throughput.ok)
+        r.Throughput.sharding)
     rows;
-  Throughput.emit_shard_json "BENCH_shard.json" rows;
+  Throughput.emit_json "BENCH_shard.json" rows;
   print_endline "wrote BENCH_shard.json";
   match !failures with
   | [] ->

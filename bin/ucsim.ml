@@ -816,6 +816,40 @@ let diff_cmd =
 
 let clip s = if String.length s <= 96 then s else String.sub s 0 93 ^ "..."
 
+(* The one verdict printer for every `ucsim bench` run: the row, the
+   sharded columns when there are any, then each differential clause
+   that ran. *)
+let print_bench (r : Throughput.row) ~state ~clauses =
+  Printf.printf "spec               %s\n" r.Throughput.spec;
+  Option.iter
+    (fun (s : Throughput.sharding) ->
+      Printf.printf "shards             %d (static ring)\n" s.Throughput.shards;
+      Printf.printf "keys / skew / fan  %d / %.2f / %d\n" s.Throughput.keys
+        s.Throughput.skew s.Throughput.fanout)
+    r.Throughput.sharding;
+  Printf.printf "domains            %d (machine recommends %d)\n"
+    r.Throughput.domains
+    (Domain.recommended_domain_count ());
+  Printf.printf "ops                %d total, %d per domain\n"
+    r.Throughput.total_ops r.Throughput.ops_per_domain;
+  Printf.printf "updates            %d%s\n" r.Throughput.updates
+    (if r.Throughput.sharding = None then "" else " keyed sub-updates");
+  Printf.printf "wall               %.4f s\n" r.Throughput.wall_s;
+  Printf.printf "throughput         %.0f ops/sec\n" r.Throughput.ops_per_sec;
+  Printf.printf "latency p50 / p99  %.2f / %.2f us\n" r.Throughput.p50_us
+    r.Throughput.p99_us;
+  Printf.printf "mailbox depth max  %d (stalls %d)\n"
+    r.Throughput.mailbox_max_depth r.Throughput.mailbox_stalls;
+  Option.iter
+    (fun (s : Throughput.sharding) ->
+      Printf.printf "shard log spread   min %d / max %d\n"
+        s.Throughput.shard_log_min s.Throughput.shard_log_max)
+    r.Throughput.sharding;
+  Printf.printf "converged state    %s\n" (clip state);
+  List.iter
+    (fun (k, ok) -> Printf.printf "  %-22s %b\n" k ok)
+    clauses
+
 (* One bench execution with optional flight recording. The recorder is
    attached iff any of --journal-out / --series-out / --monitor was
    given; the journal header is the run's {!Run_spec.parallel}
@@ -839,37 +873,7 @@ let bench_exec (p : Run_spec.parallel) (module X : BENCHED) ~obs ~journal_out
   let r =
     B.row ~batch:p.batch ~flush_window:p.flush_window ~ops_per_domain:p.ops v
   in
-  let checks =
-    [
-      ("logs agree", string_of_bool v.B.logs_agree);
-      ("omega = ts-fold", string_of_bool v.B.omega_matches_fold);
-      ("replay = ts-fold", string_of_bool v.B.replay_matches_fold);
-      ("updates conserved", string_of_bool v.B.updates_conserved);
-      ( "sequential runner",
-        match v.B.runner_matches with
-        | None -> "n/a (non-commutative)"
-        | Some b -> string_of_bool b );
-    ]
-    @
-    match v.B.journal_replay with
-    | None -> []
-    | Some b -> [ ("journal replay", string_of_bool b) ]
-  in
-  Printf.printf "spec               %s\n" r.Throughput.spec;
-  Printf.printf "domains            %d (machine recommends %d)\n"
-    r.Throughput.domains
-    (Domain.recommended_domain_count ());
-  Printf.printf "ops                %d total, %d per domain\n"
-    r.Throughput.total_ops r.Throughput.ops_per_domain;
-  Printf.printf "updates            %d\n" r.Throughput.updates;
-  Printf.printf "wall               %.4f s\n" r.Throughput.wall_s;
-  Printf.printf "throughput         %.0f ops/sec\n" r.Throughput.ops_per_sec;
-  Printf.printf "latency p50 / p99  %.2f / %.2f us\n" r.Throughput.p50_us
-    r.Throughput.p99_us;
-  Printf.printf "mailbox depth max  %d (stalls %d)\n"
-    r.Throughput.mailbox_max_depth r.Throughput.mailbox_stalls;
-  Printf.printf "converged state    %s\n" (clip v.B.state_repr);
-  List.iter (fun (k, v) -> Printf.printf "  %-22s %s\n" k v) checks;
+  print_bench r ~state:v.B.state_repr ~clauses:v.B.clauses;
   (match v.B.recording with
   | None -> ()
   | Some rc -> (
@@ -1008,7 +1012,7 @@ let bench_cmd =
     let ok =
       if shards > 1 then begin
         (* The sharded space runs the set spec; per-shard Prop 4 verdict. *)
-        let module B = Throughput.Sharded (Set_spec) (Update_codec.For_set) in
+        let module B = Throughput.Space_bench (Set_spec) (Update_codec.For_set) in
         let skew = if zipf > 0.0 then zipf else 1.1 in
         let scripts =
           B.zipf_scripts ~seed ~domains ~ops ~keys ~skew ~fanout ~query_ratio
@@ -1017,34 +1021,13 @@ let bench_cmd =
           B.measure ~mailbox_capacity:mailbox ~batch_every:batch ~flush_window
             ?obs ~shards ~domains ~scripts ()
         in
-        let r = B.row ~keys ~skew ~fanout v in
-        Printf.printf "spec               %s (sharded)\n"
-          r.Throughput.shard_spec;
-        Printf.printf "shards             %d (static ring)\n"
-          r.Throughput.shards;
-        Printf.printf "domains            %d (machine recommends %d)\n"
-          r.Throughput.shard_domains
-          (Domain.recommended_domain_count ());
-        Printf.printf "keys / skew / fan  %d / %.2f / %d\n" r.Throughput.keys
-          r.Throughput.skew r.Throughput.fanout;
-        Printf.printf "ops                %d total, %d keyed sub-updates\n"
-          r.Throughput.shard_total_ops r.Throughput.keyed_updates;
-        Printf.printf "wall               %.4f s\n" r.Throughput.shard_wall_s;
-        Printf.printf "throughput         %.0f ops/sec\n"
-          r.Throughput.shard_ops_per_sec;
-        Printf.printf "shard log spread   min %d / max %d\n"
-          r.Throughput.shard_log_min r.Throughput.shard_log_max;
-        Printf.printf "converged state    %s\n" (clip v.B.state_repr);
-        List.iter
-          (fun (k, vv) -> Printf.printf "  %-22s %s\n" k vv)
-          [
-            ("per-shard logs agree", string_of_bool v.B.shard_logs_agree);
-            ("omega = keyed fold", string_of_bool v.B.omega_matches_fold);
-            ("snapshot = keyed fold", string_of_bool v.B.snapshot_matches_fold);
-            ("updates conserved", string_of_bool v.B.updates_conserved);
-          ];
-        Option.iter (fun path -> Throughput.emit_shard_json path [ r ]) json;
-        r.Throughput.shard_ok
+        let r =
+          B.row ~batch ~flush_window ~ops_per_domain:ops ~shards ~keys ~skew
+            ~fanout v
+        in
+        print_bench r ~state:v.B.state_repr ~clauses:v.B.clauses;
+        Option.iter (fun path -> Throughput.emit_json path [ r ]) json;
+        r.Throughput.ok
       end
       else begin
         (* zipf shapes only the set workload; elsewhere it is recorded as 0 *)

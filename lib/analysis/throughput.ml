@@ -5,23 +5,28 @@
    real OS schedule, so no two runs deliver messages in the same order.
    Under strong update consistency that must not matter: the state
    reached depends only on the timestamp total order of the update
-   multiset (Prop. 4). This module turns that theorem into an oracle.
-   After a parallel run quiesces it checks, per seed:
+   multiset (Prop. 4). This module turns that theorem into an oracle,
+   written once ([Make]) over a small log view ([VIEW]) so the single
+   object ([Bench]) and the sharded space ([Space_bench]) are judged by
+   the same clause list. After a parallel run quiesces it checks:
 
-   1. every replica holds the identical timestamp-sorted log
-      (pairwise convergence — certificates and logs compare equal);
+   1. every replica holds the identical timestamp-sorted log (per
+      shard, on the space);
    2. every replica's ω answer equals the query evaluated on the
-      timestamp-order fold of that log's update multiset;
-   3. a fresh replica of the {e sequential} core, restored from the
-      converged log ([Generic.restore_log], the persistence/replay
-      path) and queried, answers the same;
+      timestamp-order fold of replica 0's log;
+   3. a fresh replica restored from replica 0 ([Generic.restore_log],
+      the persistence path, or the space's UCX snapshot/absorb, the
+      churn catch-up path) answers the same;
    4. for commutative specs, a full sequential [Runner] simulation of
       the very same per-process scripts reaches the same ω answer
       (sound only under commutativity: the virtual-time runner assigns
       different timestamps, and order-independence is what erases
       that difference);
-   5. no update was lost or duplicated: the converged log length
-      equals the number of updates the clients issued.
+   5. no update was lost or duplicated: the converged log holds exactly
+      the entries the clients issued (keyed sub-updates on the space);
+   6. with a flight recorder attached, the recorded delivery order
+      re-executed on the sequential core reproduces the recorded
+      history fingerprint.
 
    Any mismatch is a bug in the engine (or a domain-safety bug in the
    cores), never schedule noise — which is exactly why the CI smoke can
@@ -40,12 +45,21 @@ let dummy_ctx ~pid ~n : _ Protocol.ctx =
     obs = None;
   }
 
+type sharding = {
+  shards : int;
+  keys : int;
+  skew : float;
+  fanout : int;
+  shard_log_min : int;
+  shard_log_max : int;  (* longest per-shard log: skew made visible *)
+}
+
 type row = {
   spec : string;
   domains : int;
   ops_per_domain : int;
   total_ops : int;
-  updates : int;
+  updates : int;  (* log entries issued: updates, or keyed sub-updates *)
   batch : int;  (* sender-side coalescing threshold the cell ran with *)
   flush_window : int;  (* forced-flush cadence in invocations; 0 = none *)
   frames : int;  (* mailbox frames actually pushed, summed over domains *)
@@ -55,6 +69,7 @@ type row = {
   p99_us : float;
   mailbox_max_depth : int;
   mailbox_stalls : int;
+  sharding : sharding option;  (* sharded-space rows only *)
   ok : bool;
 }
 
@@ -68,10 +83,18 @@ let emit_json path rows =
          \"total_ops\": %d, \"updates\": %d, \"batch\": %d, \
          \"flush_window\": %d, \"frames\": %d, \"wall_s\": %.6f, \
          \"ops_per_sec\": %.1f, \"p50_us\": %.2f, \"p99_us\": %.2f, \
-         \"mailbox_max_depth\": %d, \"mailbox_stalls\": %d, \"ok\": %b}%s\n"
+         \"mailbox_max_depth\": %d, \"mailbox_stalls\": %d, "
         r.spec r.domains r.ops_per_domain r.total_ops r.updates r.batch
         r.flush_window r.frames r.wall_s r.ops_per_sec r.p50_us r.p99_us
-        r.mailbox_max_depth r.mailbox_stalls r.ok
+        r.mailbox_max_depth r.mailbox_stalls;
+      Option.iter
+        (fun s ->
+          Printf.fprintf oc
+            "\"shards\": %d, \"keys\": %d, \"skew\": %.3f, \"fanout\": %d, \
+             \"shard_log_min\": %d, \"shard_log_max\": %d, "
+            s.shards s.keys s.skew s.fanout s.shard_log_min s.shard_log_max)
+        r.sharding;
+      Printf.fprintf oc "\"ok\": %b}%s\n" r.ok
         (if i = List.length rows - 1 then "" else ","))
     rows;
   output_string oc "]\n";
@@ -111,12 +134,59 @@ let series_of_events ?capacity ?(interval = 0.01) ?sink events =
   if events <> [] then Obs.Series.tick sampler ~now:!now;
   Obs.Series.store sampler
 
-module Bench (A : Uqadt.S) = struct
-  module G = Generic.Make (A)
-  module E = Parallel_engine.Make (G)
-  module Run = Uqadt.Run (A)
-  module Seq = Runner.Make (G)
-  module Mon = Obs.Monitor.Make (A)
+(* Independent per-domain client streams: one [Prng.fork] child per
+   domain off a root seeded by the caller, so the whole workload is a
+   pure function of its arguments while no two domains ever walk
+   correlated streams. Explicit recursion: the draw order is part of
+   the determinism contract, and [List.init]'s evaluation order is not.
+   Each invocation is drawn before the rest of the script, and
+   [tail_mod_cons] builds the list front to back in constant stack
+   without a reversed copy to promote and discard. *)
+let forked_scripts ~seed ~domains ~ops draw =
+  let root = Prng.create seed in
+  let script () =
+    let g = Prng.fork root in
+    let[@tail_mod_cons] rec go k =
+      if k = 0 then []
+      else
+        let inv = draw g in
+        inv :: go (k - 1)
+    in
+    go ops
+  in
+  let scripts = Array.make domains [] in
+  for pid = 0 to domains - 1 do
+    scripts.(pid) <- script ()
+  done;
+  scripts
+
+(* What the differential reads of a replica: its log, compared in place
+   across replicas, materialised once for replica 0, folded in
+   timestamp order, and restored into a fresh replica. *)
+module type LOG_VIEW = sig
+  type t
+  type update
+  type state
+  type entry
+
+  val same_log : t -> t -> bool
+  val log : t -> (Timestamp.t * int * entry) list
+  val fold : (Timestamp.t * int * entry) list -> state
+  val restore : into:t -> from:t -> (Timestamp.t * int * entry) list -> bool
+  val entries : update -> int
+end
+
+module type VIEW = sig
+  include Protocol.PROTOCOL
+
+  include
+    LOG_VIEW with type t := t and type update := update and type state := state
+end
+
+module Make (V : VIEW) = struct
+  module E = Parallel_engine.Make (V)
+  module Seq = Runner.Make (V)
+  module Mon = Obs.Monitor.Make (V)
 
   type recording = {
     events : Obs.Recorder.event list;  (* merged (lamport, pid, seq) *)
@@ -131,22 +201,14 @@ module Bench (A : Uqadt.S) = struct
   type verdict = {
     run : E.result;
     latency : Stats.summary option;
-    logs_agree : bool;
-    omega_matches_fold : bool;
-    replay_matches_fold : bool;
-    runner_matches : bool option;  (* [None] for non-commutative specs *)
-    updates_conserved : bool;
-    journal_replay : bool option;  (* [None] when no recorder was attached *)
+    issued : int;  (* log entries the scripts issued *)
+    clauses : (string * bool) list;  (* the clauses that ran, in order *)
     recording : recording option;
     state_repr : string;  (* rendered timestamp-order fold *)
     stages : (string * float) list;  (* wall-clock seconds per stage *)
   }
 
-  let ok v =
-    v.run.E.outputs_agree && v.run.E.certificates_agree && v.logs_agree
-    && v.omega_matches_fold && v.replay_matches_fold && v.updates_conserved
-    && v.runner_matches <> Some false
-    && v.journal_replay <> Some false
+  let ok v = List.for_all snd v.clauses
 
   (* ------------------- recorded-stream resolution -------------------
      The recorder stores no payloads: an [Invoke_update] record says "my
@@ -162,7 +224,7 @@ module Bench (A : Uqadt.S) = struct
   (* Walk the merged stream, resolving invocations to typed values.
      [on_update] and [on_query] receive the event's index in the merged
      stream — which is also its journal event index. *)
-  let walk_stream ~scripts ~(final_read : A.query) ~query_outputs
+  let walk_stream ~scripts ~(final_read : V.query) ~query_outputs
       ~omega_outputs ~on_update ~on_query ~on_other events =
     let cursors = Array.map (fun s -> ref s) scripts in
     let out_cursors = Array.map (fun o -> ref o) query_outputs in
@@ -235,7 +297,7 @@ module Bench (A : Uqadt.S) = struct
     History.make (Array.to_list (Array.map List.rev lines))
 
   let history_fingerprint h =
-    History.fingerprint A.pp_update A.pp_query A.pp_output h
+    History.fingerprint V.pp_update V.pp_query V.pp_output h
 
   (* Rebuild a standard journal from the merged stream. Frame arrival
      times are patched from the matching deliver record (per-(src,dst)
@@ -279,7 +341,7 @@ module Bench (A : Uqadt.S) = struct
                pid;
                time = wall;
                span = None;
-               label = Format.asprintf "%a" A.pp_update u;
+               label = Format.asprintf "%a" V.pp_update u;
              }))
       ~on_query:(fun ~pid ~index:_ ~wall ~omega q o ->
         Obs.Journal.record journal
@@ -289,8 +351,8 @@ module Bench (A : Uqadt.S) = struct
                invoked = wall;
                completed = wall;
                span = None;
-               label = Format.asprintf "%a" A.pp_query q;
-               output = Format.asprintf "%a" A.pp_output o;
+               label = Format.asprintf "%a" V.pp_query q;
+               output = Format.asprintf "%a" V.pp_output o;
                omega;
              }))
       ~on_other:(fun ~index ev ->
@@ -330,7 +392,7 @@ module Bench (A : Uqadt.S) = struct
      replica's timestamp evolution, hence its outputs, hence the history
      fingerprint — Proposition 4 made executable. *)
 
-  let replay_journal ~scripts ~(final_read : A.query) journal =
+  let replay_journal ~scripts ~(final_read : V.query) journal =
     let n = Array.length scripts in
     let queues = Array.init n (fun _ -> Array.init n (fun _ -> Queue.create ())) in
     let capture_ctx pid : _ Protocol.ctx =
@@ -355,7 +417,7 @@ module Bench (A : Uqadt.S) = struct
         obs = None;
       }
     in
-    let replicas = Array.init n (fun pid -> G.create (capture_ctx pid)) in
+    let replicas = Array.init n (fun pid -> V.create (capture_ctx pid)) in
     let cursors = Array.map (fun s -> ref s) scripts in
     let lines = Array.make n [] in
     let next_inv pid =
@@ -372,7 +434,7 @@ module Bench (A : Uqadt.S) = struct
           | Update { pid; _ } -> (
             match next_inv pid with
             | Protocol.Invoke_update u ->
-              G.update replicas.(pid) u ~on_done:ignore;
+              V.update replicas.(pid) u ~on_done:ignore;
               lines.(pid) <- History.U u :: lines.(pid)
             | Protocol.Invoke_query _ ->
               stream_error "replay: update event where script has a query")
@@ -380,7 +442,7 @@ module Bench (A : Uqadt.S) = struct
             match next_inv pid with
             | Protocol.Invoke_query q ->
               let out = ref None in
-              G.query replicas.(pid) q ~on_result:(fun o -> out := Some o);
+              V.query replicas.(pid) q ~on_result:(fun o -> out := Some o);
               (match !out with
               | Some o -> lines.(pid) <- History.Q (q, o) :: lines.(pid)
               | None -> stream_error "replay: query returned no output")
@@ -388,7 +450,7 @@ module Bench (A : Uqadt.S) = struct
               stream_error "replay: query event where script has an update")
           | Query { pid; omega = true; _ } ->
             let out = ref None in
-            G.query replicas.(pid) final_read ~on_result:(fun o ->
+            V.query replicas.(pid) final_read ~on_result:(fun o ->
                 out := Some o);
             (match !out with
             | Some o -> lines.(pid) <- History.Qw (final_read, o) :: lines.(pid)
@@ -405,7 +467,7 @@ module Bench (A : Uqadt.S) = struct
                   "replay: deliver %d->%d exceeds the captured sends" src dst;
               msgs := Queue.pop queues.(src).(dst) :: !msgs
             done;
-            G.receive_batch replicas.(dst) ~src (List.rev !msgs)
+            V.receive_batch replicas.(dst) ~src (List.rev !msgs)
           | Frame _ | Stall _ -> ()
           | Drop _ | Crash _ | Join _ | Leave _ | Partition _ | Probe _
           | Rebalance _ | Shard _ | Alert _ ->
@@ -436,18 +498,195 @@ module Bench (A : Uqadt.S) = struct
       ~on_other:(fun ~index:_ _ -> ());
     mon
 
-  (* Independent per-domain client streams: one [Prng.fork] child per
-     domain off a root seeded by the caller, so the whole workload is a
-     pure function of (seed, domains, ops) while no two domains ever
-     walk correlated streams. *)
+  (* Log entries the scripts issue: what clause 5 expects in the log. *)
+  let issued scripts =
+    Array.fold_left
+      (List.fold_left (fun acc -> function
+         | Protocol.Invoke_update u -> acc + V.entries u
+         | Protocol.Invoke_query _ -> acc))
+      0 scripts
+
+  let judge ?recorder ?monitor ?journal_header ?(seq_seed = 0) ~final_read
+      ~scripts run =
+    let domains = Array.length scripts in
+    (* Wall-clock seconds of each stage, in the order they run. *)
+    let stages = ref [] in
+    let timed name f =
+      let t0 = Unix.gettimeofday () in
+      let x = f () in
+      stages := (name, Unix.gettimeofday () -. t0) :: !stages;
+      x
+    in
+    let r0 = run.E.replicas.(0) in
+    let logs_agree =
+      timed "log agreement" (fun () -> Array.for_all (V.same_log r0) run.E.replicas)
+    in
+    (* Replica 0's log, built once: the fold and the restore read it. *)
+    let log0, folded, expected, omega_matches_fold =
+      timed "fold" (fun () ->
+          let log0 = V.log r0 in
+          let folded = V.fold log0 in
+          let expected = V.eval folded final_read in
+          ( log0,
+            folded,
+            expected,
+            run.E.outputs <> []
+            && List.for_all (fun (_, o) -> V.equal_output o expected) run.E.outputs ))
+    in
+    let restore_matches_fold =
+      timed "restore and query" (fun () ->
+          let fresh = V.create (dummy_ctx ~pid:0 ~n:domains) in
+          V.restore ~into:fresh ~from:r0 log0
+          &&
+          let out = ref None in
+          V.query fresh final_read ~on_result:(fun o -> out := Some o);
+          match !out with Some o -> V.equal_output o expected | None -> false)
+    in
+    let issued = issued scripts in
+    let sequential =
+      if not V.commutative then []
+      else
+        timed "sequential clause" (fun () ->
+            let sc =
+              {
+                (Seq.default_config ~n:domains ~seed:seq_seed) with
+                Seq.final_read = Some final_read;
+              }
+            in
+            let sr = Seq.run sc ~workload:scripts in
+            [
+              ( "sequential runner",
+                sr.Seq.converged
+                && sr.Seq.final_outputs <> []
+                && List.for_all
+                     (fun (_, o) -> V.equal_output o expected)
+                     sr.Seq.final_outputs );
+            ])
+    in
+    let recording =
+      Option.map
+        (fun r ->
+          timed "recording" (fun () ->
+              let events = Obs.Recorder.events r in
+              let query_outputs = run.E.query_outputs in
+              let omega_outputs = run.E.outputs in
+              let journal =
+                journal_of_events ?header:journal_header ~scripts ~final_read
+                  ~query_outputs ~omega_outputs events
+              in
+              let fingerprint = Option.get (Obs.Journal.fingerprint journal) in
+              let replay = replay_journal ~scripts ~final_read journal in
+              let monitor =
+                Option.map
+                  (fun criteria ->
+                    feed_monitor ~criteria ~scripts ~final_read ~query_outputs
+                      ~omega_outputs events)
+                  monitor
+              in
+              { events; journal; fingerprint; replay; monitor }))
+        recorder
+    in
+    let latency = timed "latency summary" (fun () -> E.latency_summary run) in
+    {
+      run;
+      latency;
+      issued;
+      clauses =
+        [
+          ("logs agree", logs_agree);
+          ("omega = ts-fold", omega_matches_fold);
+          ("restore = ts-fold", restore_matches_fold);
+          ("updates conserved", List.length log0 = issued);
+        ]
+        @ sequential
+        @ Option.fold recording ~none:[] ~some:(fun r ->
+              [ ("journal replay", Result.is_ok r.replay) ]);
+      recording;
+      state_repr = Format.asprintf "%a" V.pp_state folded;
+      stages = List.rev !stages;
+    }
+
+  let measure ?(mailbox_capacity = 1024) ?(batch_every = 1) ?(flush_window = 0)
+      ?obs ?recorder ?monitor ?journal_header ?seq_seed ~domains ~final_read
+      ~scripts () =
+    let cfg =
+      {
+        E.domains;
+        mailbox_capacity;
+        envelope = 0;
+        batch_every;
+        flush_window;
+        final_read = Some final_read;
+        obs;
+        recorder;
+      }
+    in
+    let t0 = Unix.gettimeofday () in
+    let run = E.run cfg ~workload:scripts in
+    let engine = Unix.gettimeofday () -. t0 in
+    let v =
+      judge ?recorder ?monitor ?journal_header ?seq_seed ~final_read ~scripts run
+    in
+    { v with stages = ("engine", engine) :: v.stages }
+
+  let row ?(batch = 1) ?(flush_window = 0) ~ops_per_domain v =
+    let p50, p99 =
+      match v.latency with
+      | None -> (0.0, 0.0)
+      | Some s -> (s.Stats.p50 *. 1e6, s.Stats.p99 *. 1e6)
+    in
+    let reports = v.run.E.reports in
+    let sum f = Array.fold_left (fun acc r -> acc + f r) 0 reports in
+    {
+      spec = V.name;
+      domains = Array.length reports;
+      ops_per_domain;
+      total_ops = v.run.E.ops_total;
+      updates = v.issued;
+      batch;
+      flush_window;
+      frames = sum (fun r -> r.Parallel_engine.frames_sent);
+      wall_s = v.run.E.wall_seconds;
+      ops_per_sec = v.run.E.throughput;
+      p50_us = p50;
+      p99_us = p99;
+      mailbox_max_depth =
+        Array.fold_left
+          (fun acc r -> max acc r.Parallel_engine.mailbox_max_depth)
+          0 reports;
+      mailbox_stalls = sum (fun r -> r.Parallel_engine.mailbox_stalls);
+      sharding = None;
+      ok = ok v;
+    }
+end
+
+(* The single object: Algorithm 1's log, compared in place and restored
+   through the persistence path. *)
+module Bench (A : Uqadt.S) = struct
+  module G = struct
+    include Generic.Make (A)
+    module Run = Uqadt.Run (A)
+
+    type entry = A.update
+
+    let log = local_log
+    let fold log = Run.final_state (List.map (fun (_, _, u) -> u) log)
+
+    let restore ~into ~from:_ log =
+      restore_log into log;
+      true
+
+    let entries _ = 1
+  end
+
+  include Make (G)
+
+  (* [forked_scripts] with the draw inlined: perfbench's [setup_s]
+     times this generator, and the indirect call per invocation raised
+     sim-register-faults' [setup_s] by ≈10% on a 2-vCPU VM. *)
   let uniform_scripts ~seed ~domains ~ops ~query_ratio =
     let root = Prng.create seed in
     let script () =
-      (* Explicit recursion: the draw order is part of the determinism
-         contract, and [List.init]'s evaluation order is not. Each
-         invocation is drawn before the rest of the script, and
-         [tail_mod_cons] builds the list front to back in constant
-         stack without a reversed copy to promote and discard. *)
       let g = Prng.fork root in
       let[@tail_mod_cons] rec draw k =
         if k = 0 then []
@@ -466,352 +705,81 @@ module Bench (A : Uqadt.S) = struct
       scripts.(pid) <- script ()
     done;
     scripts
-
-  let measure ?(mailbox_capacity = 1024) ?(batch_every = 1) ?(flush_window = 0)
-      ?obs ?recorder ?monitor ?journal_header ?(seq_seed = 0) ~domains
-      ~final_read ~scripts () =
-    let cfg =
-      {
-        E.domains;
-        mailbox_capacity;
-        envelope = 0;
-        batch_every;
-        flush_window;
-        final_read = Some final_read;
-        obs;
-        recorder;
-      }
-    in
-    (* Wall-clock seconds of each stage, in the order they run. *)
-    let stages = ref [] in
-    let timed name f =
-      let t0 = Unix.gettimeofday () in
-      let x = f () in
-      stages := (name, Unix.gettimeofday () -. t0) :: !stages;
-      x
-    in
-    let run = timed "engine" (fun () -> E.run cfg ~workload:scripts) in
-    let r0 = run.E.replicas.(0) in
-    let logs_agree =
-      timed "log agreement" (fun () -> Array.for_all (G.same_log r0) run.E.replicas)
-    in
-    (* Replica 0's list, built once: the fold and the restore read it. *)
-    let log0, folded, expected, omega_matches_fold =
-      timed "fold" (fun () ->
-          let log0 = G.local_log r0 in
-          let folded = Run.final_state (List.map (fun (_, _, u) -> u) log0) in
-          let expected = A.eval folded final_read in
-          ( log0,
-            folded,
-            expected,
-            run.E.outputs <> []
-            && List.for_all (fun (_, o) -> A.equal_output o expected) run.E.outputs ))
-    in
-    (* The sequential core replays the converged log through the exact
-       persistence-restore path the crash-recovery tests exercise. *)
-    let replay_matches_fold =
-      timed "restore and query" (fun () ->
-          let fresh = G.create (dummy_ctx ~pid:0 ~n:1) in
-          G.restore_log fresh log0;
-          let replayed = ref None in
-          G.query fresh final_read ~on_result:(fun o -> replayed := Some o);
-          match !replayed with
-          | Some o -> A.equal_output o expected
-          | None -> false)
-    in
-    let updates_conserved = List.length log0 = run.E.updates_total in
-    let runner_matches =
-      if not A.commutative then None
-      else
-        timed "sequential clause" (fun () ->
-            let sc =
-              {
-                (Seq.default_config ~n:domains ~seed:seq_seed) with
-                Seq.final_read = Some final_read;
-              }
-            in
-            let sr = Seq.run sc ~workload:scripts in
-            Some
-              (sr.Seq.converged
-              && sr.Seq.final_outputs <> []
-              && List.for_all
-                   (fun (_, o) -> A.equal_output o expected)
-                   sr.Seq.final_outputs))
-    in
-    let recording =
-      match recorder with
-      | None -> None
-      | Some r ->
-        timed "recording" (fun () ->
-            let events = Obs.Recorder.events r in
-            let query_outputs = run.E.query_outputs in
-            let omega_outputs = run.E.outputs in
-            let journal =
-              journal_of_events ?header:journal_header ~scripts ~final_read
-                ~query_outputs ~omega_outputs events
-            in
-            let fingerprint = Option.get (Obs.Journal.fingerprint journal) in
-            let replay = replay_journal ~scripts ~final_read journal in
-            let monitor =
-              Option.map
-                (fun criteria ->
-                  feed_monitor ~criteria ~scripts ~final_read ~query_outputs
-                    ~omega_outputs events)
-                monitor
-            in
-            Some { events; journal; fingerprint; replay; monitor })
-    in
-    let latency = timed "latency summary" (fun () -> E.latency_summary run) in
-    {
-      run;
-      latency;
-      logs_agree;
-      omega_matches_fold;
-      replay_matches_fold;
-      runner_matches;
-      updates_conserved;
-      journal_replay =
-        Option.map
-          (fun r -> match r.replay with Ok _ -> true | Error _ -> false)
-          recording;
-      recording;
-      state_repr = Format.asprintf "%a" A.pp_state folded;
-      stages = List.rev !stages;
-    }
-
-  let row ?(batch = 1) ?(flush_window = 0) ~ops_per_domain v =
-    let p50, p99 =
-      match v.latency with
-      | None -> (0.0, 0.0)
-      | Some s -> (s.Stats.p50 *. 1e6, s.Stats.p99 *. 1e6)
-    in
-    let reports = v.run.E.reports in
-    {
-      spec = A.name;
-      domains = Array.length reports;
-      ops_per_domain;
-      total_ops = v.run.E.ops_total;
-      updates = v.run.E.updates_total;
-      batch;
-      flush_window;
-      frames =
-        Array.fold_left
-          (fun acc r -> acc + r.Parallel_engine.frames_sent)
-          0 reports;
-      wall_s = v.run.E.wall_seconds;
-      ops_per_sec = v.run.E.throughput;
-      p50_us = p50;
-      p99_us = p99;
-      mailbox_max_depth =
-        Array.fold_left
-          (fun acc r -> max acc r.Parallel_engine.mailbox_max_depth)
-          0 reports;
-      mailbox_stalls =
-        Array.fold_left
-          (fun acc r -> acc + r.Parallel_engine.mailbox_stalls)
-          0 reports;
-      ok = ok v;
-    }
 end
 
-type shard_row = {
-  shard_spec : string;
-  shards : int;
-  shard_domains : int;
-  keys : int;
-  skew : float;
-  fanout : int;
-  shard_total_ops : int;
-  keyed_updates : int;
-  shard_wall_s : float;
-  shard_ops_per_sec : float;
-  shard_log_max : int;
-  shard_log_min : int;
-  shard_ok : bool;
-}
-
-let emit_shard_json path rows =
-  let oc = open_out path in
-  output_string oc "[\n";
-  List.iteri
-    (fun i r ->
-      Printf.fprintf oc
-        "  {\"spec\": %S, \"shards\": %d, \"domains\": %d, \"keys\": %d, \
-         \"skew\": %.3f, \"fanout\": %d, \"total_ops\": %d, \
-         \"keyed_updates\": %d, \"wall_s\": %.6f, \"ops_per_sec\": %.1f, \
-         \"shard_log_max\": %d, \"shard_log_min\": %d, \"ok\": %b}%s\n"
-        r.shard_spec r.shards r.shard_domains r.keys r.skew r.fanout
-        r.shard_total_ops r.keyed_updates r.shard_wall_s r.shard_ops_per_sec
-        r.shard_log_max r.shard_log_min r.shard_ok
-        (if i = List.length rows - 1 then "" else ","))
-    rows;
-  output_string oc "]\n";
-  close_out oc
-
-(* The same oracle, shard-aware: the space runs one Algorithm 1 core
-   per shard, so Proposition 4 applies {e per shard} — after
-   quiescence every replica must hold, for every shard, the identical
-   timestamp-sorted inner log; the ω sweep must equal the keyed fold
-   of the union of those logs; and the whole-space snapshot/absorb
-   path (the one churn catch-up and shard migration ride) must restore
-   a fresh replica to the same answer. Conservation counts {e keyed}
-   sub-updates: one client batch of width w contributes w inner log
-   entries, spread across the shards its keys route to. *)
-module Sharded
+(* The sharded space: one Algorithm 1 core per shard, so Proposition 4
+   applies per shard. Replicas agree when every non-empty shard log is
+   equal; replica 0's log is the timestamp-sorted union of its shard
+   logs, folded one keyed sub-update at a time; the restore is the
+   whole-space UCX snapshot/absorb that churn catch-up and shard
+   migration ride; and a client batch of width w issues w entries. *)
+module Space_bench
     (A : Uqadt.S)
     (C : Update_codec.S with type update = A.update) =
 struct
-  module S = Space.Make (A) (C)
-  module E = Parallel_engine.Make (S)
+  module S = struct
+    include Space.Make (A) (C)
 
-  type verdict = {
-    run : E.result;
-    latency : Stats.summary option;
-    shards : int;
-    keyed_total : int;
-    shard_logs_agree : bool;
-    omega_matches_fold : bool;
-    snapshot_matches_fold : bool;
-    updates_conserved : bool;
-    shard_lengths : (int * int) list;
-    state_repr : string;
-  }
+    type entry = int * A.update
 
-  let ok v =
-    v.run.E.outputs_agree && v.run.E.certificates_agree && v.shard_logs_agree
-    && v.omega_matches_fold && v.snapshot_matches_fold && v.updates_conserved
+    let shard_logs_of r = List.filter (fun (_, l) -> l <> []) (shard_logs r)
+    let same_log a b = shard_logs_of a = shard_logs_of b
+
+    let log r =
+      List.concat_map snd (shard_logs_of r)
+      |> List.sort (fun (a, _, _) (b, _, _) -> Timestamp.compare a b)
+
+    let fold log = List.fold_left (fun m (_, _, ku) -> apply m [ ku ]) initial log
+
+    let restore ~into ~from _ =
+      match snapshot from with None -> false | Some frame -> absorb into frame
+
+    let entries = List.length
+  end
+
+  include Make (S)
 
   let zipf_scripts ~seed ~domains ~ops ~keys ~skew ~fanout ~query_ratio =
-    let root = Prng.create seed in
-    let script () =
-      (* explicit loops: draw order is part of the determinism contract *)
-      let g = Prng.fork root in
-      let z = Zipf.create ~n:keys ~s:skew in
-      let key () = Zipf.sample z g - 1 in
-      let acc = ref [] in
-      for _ = 1 to ops do
-        let inv =
-          if query_ratio > 0.0 && Prng.float g 1.0 < query_ratio then
-            Protocol.Invoke_query (S.K.Read (key (), A.random_query g))
-          else begin
-            let width = if fanout <= 1 then 1 else 1 + Prng.int g fanout in
-            let batch = ref [] in
-            for _ = 1 to width do
-              let k = key () in
-              let u = A.random_update g in
-              batch := (k, u) :: !batch
-            done;
-            Protocol.Invoke_update (List.rev !batch)
-          end
-        in
-        acc := inv :: !acc
-      done;
-      List.rev !acc
-    in
-    let scripts = Array.make domains [] in
-    for pid = 0 to domains - 1 do
-      scripts.(pid) <- script ()
-    done;
-    scripts
+    let z = Zipf.create ~n:keys ~s:skew in
+    forked_scripts ~seed ~domains ~ops (fun g ->
+        let key () = Zipf.sample z g - 1 in
+        if query_ratio > 0.0 && Prng.float g 1.0 < query_ratio then
+          Protocol.Invoke_query (S.K.Read (key (), A.random_query g))
+        else begin
+          let width = if fanout <= 1 then 1 else 1 + Prng.int g fanout in
+          let batch = ref [] in
+          for _ = 1 to width do
+            let k = key () in
+            let u = A.random_update g in
+            batch := (k, u) :: !batch
+          done;
+          Protocol.Invoke_update (List.rev !batch)
+        end)
 
-  let keyed_total scripts =
-    Array.fold_left
-      (fun acc script ->
-        List.fold_left
-          (fun acc -> function
-            | Protocol.Invoke_update kus -> acc + List.length kus
-            | Protocol.Invoke_query _ -> acc)
-          acc script)
-      0 scripts
+  (* Static ring: no policy, so replicas never mutate shared ring state
+     during the parallel run. The flight recorder targets the
+     one-core-per-domain engine, so the space runs unrecorded. *)
+  let measure ?mailbox_capacity ?batch_every ?flush_window ?obs ~shards
+      ~domains ~scripts () =
+    S.configure (S.create_map ?obs ~shards ());
+    measure ?mailbox_capacity ?batch_every ?flush_window ?obs ~domains
+      ~final_read:S.K.Sweep ~scripts ()
 
-  let measure ?(mailbox_capacity = 1024) ?(batch_every = 1) ?(flush_window = 0)
-      ?obs ?vnodes ~shards ~domains ~scripts () =
-    (* Static ring: no policy, so replicas never mutate shared ring
-       state during the parallel run. *)
-    let map = S.create_map ?vnodes ?obs ~shards () in
-    S.configure map;
-    let cfg =
-      {
-        E.domains;
-        mailbox_capacity;
-        envelope = 0;
-        batch_every;
-        flush_window;
-        final_read = Some S.K.Sweep;
-        obs;
-        (* Sharded-space recording is out of scope: the flight recorder
-           targets the one-core-per-domain engine (the CLI rejects the
-           combination). *)
-        recorder = None;
-      }
-    in
-    let run = E.run cfg ~workload:scripts in
-    let logs_of r =
-      List.filter (fun (_, l) -> l <> []) (S.shard_logs r)
-    in
-    let logs0 = logs_of run.E.replicas.(0) in
-    let shard_logs_agree =
-      Array.for_all (fun r -> logs_of r = logs0) run.E.replicas
-    in
-    let merged =
-      List.concat_map snd logs0
-      |> List.sort (fun (a, _, _) (b, _, _) -> Timestamp.compare a b)
-    in
-    let folded =
-      List.fold_left (fun m (_, _, ku) -> S.apply m [ ku ]) S.initial merged
-    in
-    let expected = S.eval folded S.K.Sweep in
-    let omega_matches_fold =
-      run.E.outputs <> []
-      && List.for_all (fun (_, o) -> S.equal_output o expected) run.E.outputs
-    in
-    let snapshot_matches_fold =
-      match S.snapshot run.E.replicas.(0) with
-      | None -> false
-      | Some frame ->
-        let fresh = S.create (dummy_ctx ~pid:0 ~n:domains) in
-        S.absorb fresh frame
-        &&
-        let out = ref None in
-        S.query fresh S.K.Sweep ~on_result:(fun o -> out := Some o);
-        (match !out with
-        | Some o -> S.equal_output o expected
-        | None -> false)
-    in
-    let keyed = keyed_total scripts in
-    let updates_conserved =
-      List.fold_left (fun acc (_, l) -> acc + List.length l) 0 logs0 = keyed
-    in
+  let row ?batch ?flush_window ~ops_per_domain ~shards ~keys ~skew ~fanout v =
+    let lens = List.map snd (S.shard_log_lengths v.run.E.replicas.(0)) in
     {
-      run;
-      latency = E.latency_summary run;
-      shards;
-      keyed_total = keyed;
-      shard_logs_agree;
-      omega_matches_fold;
-      snapshot_matches_fold;
-      updates_conserved;
-      shard_lengths = S.shard_log_lengths run.E.replicas.(0);
-      state_repr = Format.asprintf "%a" S.pp_state folded;
-    }
-
-  let row ~keys ~skew ~fanout v : shard_row =
-    let lens = List.map snd v.shard_lengths in
-    {
-      shard_spec = A.name;
-      shards = v.shards;
-      shard_domains = Array.length v.run.E.reports;
-      keys;
-      skew;
-      fanout;
-      shard_total_ops = v.run.E.ops_total;
-      keyed_updates = v.keyed_total;
-      shard_wall_s = v.run.E.wall_seconds;
-      shard_ops_per_sec = v.run.E.throughput;
-      shard_log_max = List.fold_left max 0 lens;
-      shard_log_min =
-        (match lens with [] -> 0 | x :: r -> List.fold_left min x r);
-      shard_ok = ok v;
+      (row ?batch ?flush_window ~ops_per_domain v) with
+      sharding =
+        Some
+          {
+            shards;
+            keys;
+            skew;
+            fanout;
+            shard_log_min =
+              (match lens with [] -> 0 | x :: r -> List.fold_left min x r);
+            shard_log_max = List.fold_left max 0 lens;
+          };
     }
 end
 
@@ -820,24 +788,9 @@ end
    shared across every domain, so late arrivals really do land mid-log
    and the engine's convergence is tested under genuine contention. *)
 let set_zipf_scripts ~seed ~domains ~ops ~skew ~delete_ratio =
-  let root = Prng.create seed in
-  let script () =
-    let g = Prng.fork root in
-    let z = Zipf.create ~n:512 ~s:skew in
-    let acc = ref [] in
-    for _ = 1 to ops do
+  let z = Zipf.create ~n:512 ~s:skew in
+  forked_scripts ~seed ~domains ~ops (fun g ->
       let v = Zipf.sample z g in
-      let inv =
-        if Prng.float g 1.0 < delete_ratio then
-          Protocol.Invoke_update (Set_spec.Delete v)
-        else Protocol.Invoke_update (Set_spec.Insert v)
-      in
-      acc := inv :: !acc
-    done;
-    List.rev !acc
-  in
-  let scripts = Array.make domains [] in
-  for pid = 0 to domains - 1 do
-    scripts.(pid) <- script ()
-  done;
-  scripts
+      if Prng.float g 1.0 < delete_ratio then
+        Protocol.Invoke_update (Set_spec.Delete v)
+      else Protocol.Invoke_update (Set_spec.Insert v))

@@ -7,18 +7,33 @@
     strong-update-consistent run must end with (1) every replica
     holding the same timestamp-sorted log, (2) every ω answer equal to
     the query on the timestamp-order fold of that log's updates, (3) a
-    fresh {e sequential}-core replica restored from the log answering
-    identically, (4) for commutative specs, a full sequential {!Runner}
-    of the same scripts agreeing, and (5) exactly the issued updates in
-    the log. With a flight recorder ({!Obs.Recorder}) attached there is
-    a sixth clause: (6) the recorded per-replica delivery order,
-    re-executed on the sequential core by {!Bench.replay_journal}, must
-    reproduce the recorded history fingerprint. {!Bench.ok} is the
-    conjunction; CI gates on it. *)
+    fresh replica restored from replica 0 answering identically, (4)
+    for commutative specs, a full sequential {!Runner} of the same
+    scripts agreeing, and (5) exactly the issued updates in the log.
+    With a flight recorder ({!Obs.Recorder}) attached there is a sixth
+    clause: (6) the recorded per-replica delivery order, re-executed on
+    the sequential core by [replay_journal], must reproduce the recorded
+    history fingerprint.
+
+    The clause list is written once, in {!Make}, over a small log view
+    ({!VIEW}). It has two instances: {!Bench}, the single object, and
+    {!Space_bench}, the sharded space, whose log is per shard and whose
+    restore is the UCX snapshot/absorb path. [ok] is the conjunction of
+    the clauses that ran; CI gates on it. *)
 
 val dummy_ctx : pid:int -> n:int -> 'msg Protocol.ctx
 (** A context that drops every message — for replicas used as
     sequential replay oracles. *)
+
+type sharding = {
+  shards : int;
+  keys : int;
+  skew : float;
+  fanout : int;
+  shard_log_min : int;
+  shard_log_max : int;  (** longest per-shard log — skew made visible *)
+}
+(** The sharded space's workload and per-shard log spread. *)
 
 type row = {
   spec : string;
@@ -26,6 +41,8 @@ type row = {
   ops_per_domain : int;
   total_ops : int;
   updates : int;
+      (** log entries the scripts issued: updates on the single object,
+          keyed sub-updates (Σ batch widths) on the sharded space *)
   batch : int;  (** sender-side coalescing threshold the cell ran with *)
   flush_window : int;
       (** forced-flush cadence in invocations; 0 = threshold-only *)
@@ -36,9 +53,10 @@ type row = {
   p99_us : float;
   mailbox_max_depth : int;
   mailbox_stalls : int;
+  sharding : sharding option;  (** [Some] on sharded-space rows only *)
   ok : bool;  (** the differential verdict, never a throughput bound *)
 }
-(** One BENCH_throughput.json record. *)
+(** One BENCH_throughput.json / BENCH_shard.json record. *)
 
 val emit_json : string -> row list -> unit
 
@@ -57,20 +75,43 @@ val series_of_events :
     holds the decimating rings. Spec-agnostic: only event kinds are
     read. *)
 
-module Bench (A : Uqadt.S) : sig
-  module G : sig
-    include
-      Generic.S
-        with type update = A.update
-         and type query = A.query
-         and type output = A.output
-         and type state = A.state
+(** What the differential reads of a replica. *)
+module type LOG_VIEW = sig
+  type t
+  type update
+  type state
+  type entry
 
-    val same_log : t -> t -> bool
-    (** {!Generic.Make.same_log}: clause 1's in-place log comparison. *)
-  end
-  module E : module type of Parallel_engine.Make (G)
-  module Mon : module type of Obs.Monitor.Make (A)
+  val same_log : t -> t -> bool
+  (** Clause 1: whether two replicas hold the same log, compared in
+      place. *)
+
+  val log : t -> (Timestamp.t * int * entry) list
+  (** Replica 0's log (timestamp, origin, entry), timestamp-sorted,
+      built once for clauses 2, 3 and 5. *)
+
+  val fold : (Timestamp.t * int * entry) list -> state
+  (** Clause 2: the timestamp-order fold of a log. *)
+
+  val restore : into:t -> from:t -> (Timestamp.t * int * entry) list -> bool
+  (** Clause 3: restore a fresh replica from replica 0 (or its log);
+      [false] when the restore path refuses. *)
+
+  val entries : update -> int
+  (** Clause 5: log entries one client update contributes. *)
+end
+
+module type VIEW = sig
+  include Protocol.PROTOCOL
+
+  include
+    LOG_VIEW with type t := t and type update := update and type state := state
+end
+
+(** The one differential, over a log view. *)
+module Make (V : VIEW) : sig
+  module E : module type of Parallel_engine.Make (V)
+  module Mon : module type of Obs.Monitor.Make (V)
 
   type recording = {
     events : Obs.Recorder.event list;
@@ -89,18 +130,18 @@ module Bench (A : Uqadt.S) : sig
   type verdict = {
     run : E.result;
     latency : Stats.summary option;
-    logs_agree : bool;
-    omega_matches_fold : bool;
-    replay_matches_fold : bool;
-    runner_matches : bool option;  (** [None] for non-commutative specs *)
-    updates_conserved : bool;
-    journal_replay : bool option;
-        (** clause 6; [None] when no recorder was attached *)
+    issued : int;  (** log entries the scripts issued *)
+    clauses : (string * bool) list;
+        (** the clauses that ran, in order: ["logs agree"],
+            ["omega = ts-fold"], ["restore = ts-fold"],
+            ["updates conserved"], then ["sequential runner"]
+            (commutative specs only) and ["journal replay"] (with a
+            recorder only) *)
     recording : recording option;
     state_repr : string;  (** rendered timestamp-order fold *)
     stages : (string * float) list;
         (** wall-clock seconds of each stage of [measure], in run order:
-            ["engine"], ["log agreement"], ["fold"] (replica 0's list,
+            ["engine"], ["log agreement"], ["fold"] (replica 0's log,
             the fold and the ω comparison), ["restore and query"],
             ["sequential clause"] (commutative specs only),
             ["recording"] (with a recorder only) and
@@ -108,16 +149,23 @@ module Bench (A : Uqadt.S) : sig
   }
 
   val ok : verdict -> bool
+  (** Every clause that ran holds. *)
 
-  val uniform_scripts :
-    seed:int ->
-    domains:int ->
-    ops:int ->
-    query_ratio:float ->
-    (A.update, A.query) Protocol.invocation list array
-  (** One {!Prng.fork}ed client stream per domain off [seed]; each
-      script mixes [A.random_update] with [A.random_query] at
-      [query_ratio]. A pure function of its arguments. *)
+  val judge :
+    ?recorder:Obs.Recorder.t ->
+    ?monitor:Obs.Monitor.criterion list ->
+    ?journal_header:(string * Obs.Json.t) list ->
+    ?seq_seed:int ->
+    final_read:V.query ->
+    scripts:(V.update, V.query) Protocol.invocation list array ->
+    E.result ->
+    verdict
+  (** Run the clause list over a quiesced engine result (its replicas
+      and ω answers to [final_read]). With [?recorder] (the one the run
+      was recorded into) the merged stream becomes a sealed journal
+      (header fields from [?journal_header]), the replay bridge verdict
+      becomes clause 6, and [?monitor] criteria are checked online over
+      the same stream. *)
 
   val measure :
     ?mailbox_capacity:int ->
@@ -129,24 +177,20 @@ module Bench (A : Uqadt.S) : sig
     ?journal_header:(string * Obs.Json.t) list ->
     ?seq_seed:int ->
     domains:int ->
-    final_read:A.query ->
-    scripts:(A.update, A.query) Protocol.invocation list array ->
+    final_read:V.query ->
+    scripts:(V.update, V.query) Protocol.invocation list array ->
     unit ->
     verdict
   (** Run the engine on the scripts with an ω [final_read] everywhere,
-      then run the full differential described above. With [?recorder]
-      the run is also recorded: the merged stream becomes a sealed
-      journal (header fields from [?journal_header]), the replay bridge
-      verdict lands in [journal_replay] (clause 6), and [?monitor]
-      criteria are checked online over the same stream. *)
+      then {!judge} the result. *)
 
   val history_of_events :
-    scripts:(A.update, A.query) Protocol.invocation list array ->
-    final_read:A.query ->
-    query_outputs:A.output list array ->
-    omega_outputs:(int * A.output) list ->
+    scripts:(V.update, V.query) Protocol.invocation list array ->
+    final_read:V.query ->
+    query_outputs:V.output list array ->
+    omega_outputs:(int * V.output) list ->
     Obs.Recorder.event list ->
-    (A.update, A.query, A.output) History.t
+    (V.update, V.query, V.output) History.t
   (** Resolve a merged recorder stream against the (regenerated)
       scripts and the run's recorded outputs into a {!History}: one
       line per domain in program order, ω read last. The recorder
@@ -157,10 +201,10 @@ module Bench (A : Uqadt.S) : sig
 
   val journal_of_events :
     ?header:(string * Obs.Json.t) list ->
-    scripts:(A.update, A.query) Protocol.invocation list array ->
-    final_read:A.query ->
-    query_outputs:A.output list array ->
-    omega_outputs:(int * A.output) list ->
+    scripts:(V.update, V.query) Protocol.invocation list array ->
+    final_read:V.query ->
+    query_outputs:V.output list array ->
+    omega_outputs:(int * V.output) list ->
     Obs.Recorder.event list ->
     Obs.Journal.t
   (** The merged stream as a standard journal, in merge order:
@@ -170,8 +214,8 @@ module Bench (A : Uqadt.S) : sig
       {!history_of_events} fingerprint. @raise Failure as above. *)
 
   val replay_journal :
-    scripts:(A.update, A.query) Protocol.invocation list array ->
-    final_read:A.query ->
+    scripts:(V.update, V.query) Protocol.invocation list array ->
+    final_read:V.query ->
     Obs.Journal.t ->
     (string, string) result
   (** Re-execute a recorded journal on the {e sequential} core: one
@@ -184,10 +228,10 @@ module Bench (A : Uqadt.S) : sig
 
   val feed_monitor :
     criteria:Obs.Monitor.criterion list ->
-    scripts:(A.update, A.query) Protocol.invocation list array ->
-    final_read:A.query ->
-    query_outputs:A.output list array ->
-    omega_outputs:(int * A.output) list ->
+    scripts:(V.update, V.query) Protocol.invocation list array ->
+    final_read:V.query ->
+    query_outputs:V.output list array ->
+    omega_outputs:(int * V.output) list ->
     Obs.Recorder.event list ->
     Mon.t
   (** Feed the merged stream through the online monitors; violation
@@ -199,53 +243,58 @@ module Bench (A : Uqadt.S) : sig
       knobs the cell ran under — [measure] does not retain them. *)
 end
 
-type shard_row = {
-  shard_spec : string;
-  shards : int;
-  shard_domains : int;
-  keys : int;
-  skew : float;
-  fanout : int;
-  shard_total_ops : int;
-  keyed_updates : int;  (** keyed sub-updates issued (Σ batch widths) *)
-  shard_wall_s : float;
-  shard_ops_per_sec : float;
-  shard_log_max : int;  (** longest per-shard log — skew made visible *)
-  shard_log_min : int;
-  shard_ok : bool;  (** the shard-aware differential verdict *)
-}
-(** One BENCH_shard.json record. *)
+(** The single object: Algorithm 1's log, compared in place
+    ({!Generic.Make.same_log}) and restored through
+    {!Generic.S.restore_log}, the persistence path. *)
+module Bench (A : Uqadt.S) : sig
+  module G : sig
+    include
+      Generic.S
+        with type update = A.update
+         and type query = A.query
+         and type output = A.output
+         and type state = A.state
 
-val emit_shard_json : string -> shard_row list -> unit
+    include
+      LOG_VIEW
+        with type t := t
+         and type update := update
+         and type state := state
+         and type entry = A.update
+  end
 
-(** The Proposition 4 differential, shard-aware: the {!Space} runs one
-    Algorithm 1 core per shard, so after a parallel run quiesces every
-    replica must hold, {e for every shard}, the identical
-    timestamp-sorted inner log; every ω sweep must equal the keyed fold
-    of the union of those logs; the whole-space snapshot/absorb path
-    (churn catch-up, shard migration) must restore a fresh replica to
-    the same answer; and the union must hold exactly the keyed
-    sub-updates the clients issued. *)
-module Sharded
+  include module type of Make (G)
+
+  val uniform_scripts :
+    seed:int ->
+    domains:int ->
+    ops:int ->
+    query_ratio:float ->
+    (A.update, A.query) Protocol.invocation list array
+  (** One {!Prng.fork}ed client stream per domain off [seed]; each
+      script mixes [A.random_update] with [A.random_query] at
+      [query_ratio]. A pure function of its arguments. *)
+end
+
+(** The sharded {!Space}: per-shard logs must be equal across replicas,
+    replica 0's log is the timestamp-sorted union of its shard logs,
+    the restore is the whole-space snapshot/absorb path (churn catch-up,
+    shard migration), and conservation counts keyed sub-updates. *)
+module Space_bench
     (A : Uqadt.S)
     (C : Update_codec.S with type update = A.update) : sig
-  module S : module type of Space.Make (A) (C)
-  module E : module type of Parallel_engine.Make (S)
+  module S : sig
+    include module type of Space.Make (A) (C)
 
-  type verdict = {
-    run : E.result;
-    latency : Stats.summary option;
-    shards : int;
-    keyed_total : int;
-    shard_logs_agree : bool;
-    omega_matches_fold : bool;
-    snapshot_matches_fold : bool;
-    updates_conserved : bool;
-    shard_lengths : (int * int) list;  (** replica 0, by shard id *)
-    state_repr : string;  (** rendered keyed fold *)
-  }
+    include
+      LOG_VIEW
+        with type t := t
+         and type update := update
+         and type state := state
+         and type entry = int * A.update
+  end
 
-  val ok : verdict -> bool
+  include module type of Make (S)
 
   val zipf_scripts :
     seed:int ->
@@ -265,17 +314,26 @@ module Sharded
     ?batch_every:int ->
     ?flush_window:int ->
     ?obs:Obs.t ->
-    ?vnodes:int ->
     shards:int ->
     domains:int ->
     scripts:(S.update, S.query) Protocol.invocation list array ->
     unit ->
     verdict
-  (** Build a static [shards]-shard map (no rebalancing policy — the
-      ring never changes during the parallel run), run the engine with
-      an ω sweep everywhere, then run the shard-aware differential. *)
+  (** Configure a static [shards]-shard map (no rebalancing policy — the
+      ring never changes during the parallel run), then run the engine
+      with an ω sweep everywhere and judge it. *)
 
-  val row : keys:int -> skew:float -> fanout:int -> verdict -> shard_row
+  val row :
+    ?batch:int ->
+    ?flush_window:int ->
+    ops_per_domain:int ->
+    shards:int ->
+    keys:int ->
+    skew:float ->
+    fanout:int ->
+    verdict ->
+    row
+  (** The generic row with its {!sharding} columns filled in. *)
 end
 
 val set_zipf_scripts :

@@ -57,8 +57,10 @@ type 'msg t = {
   wire_size : 'msg -> int;
   deliver : dst:int -> src:int -> 'msg -> unit;
   crashed : bool array;
-  offline : bool array;
-      (** detached by churn: drops frames like a crash, but reversible *)
+  offline : bool array;  (** absent or left: nothing is delivered *)
+  held : (int * int * float * ('msg * Obs.Span.id option) list) list option array;
+      (** [Some] while a process that left is offline: the frames
+          (src, count, sent, messages) that reached it, newest first *)
   last_delivery : float array array;  (** per (src, dst), for FIFO channels *)
   obs : net_obs option;
 }
@@ -101,6 +103,7 @@ let create ~engine ~rng ~metrics ~n ?(fifo = false) ?(partitions = [])
     deliver;
     crashed = Array.make n false;
     offline = Array.make n false;
+    held = Array.make n None;
     last_delivery = Array.init n (fun _ -> Array.make n 0.0);
     obs = Option.map (fun o -> make_net_obs o n) obs;
   }
@@ -191,6 +194,31 @@ let frame_bytes t msgs =
   let span_cost = match t.obs with None -> 0 | Some no -> no.o.Obs.span_wire_bytes in
   add_message_bytes t ~span_cost t.envelope msgs
 
+(* A frame reaching [dst] at [arrival]: delivered, held for a process
+   that left until it rejoins, or dropped at a crashed or not yet joined
+   one. *)
+let arrive t ~src ~dst ~count ~sent ~arrival msgs =
+  if t.crashed.(dst) || t.offline.(dst) then
+    match t.held.(dst) with
+    | Some frames -> t.held.(dst) <- Some ((src, count, sent, msgs) :: frames)
+    | None ->
+      t.metrics.Metrics.messages_dropped <-
+        t.metrics.Metrics.messages_dropped + count;
+      (match journal_of t with
+      | None -> ()
+      | Some j ->
+        Obs.Journal.record j (Obs.Journal.Drop { pid = dst; count; time = arrival }));
+      (match t.obs with
+      | None -> ()
+      | Some no -> Obs.Registry.inc ~by:count no.dropped.(dst))
+  else begin
+    (match journal_of t with
+    | None -> ()
+    | Some j ->
+      Obs.Journal.record j (Obs.Journal.Deliver { src; dst; count; time = arrival }));
+    deliver_frame t ~src ~dst ~sent ~arrival msgs
+  end
+
 (* One wire frame from [src] to [dst] carrying [msgs] in order: one
    delay draw, one envelope, one delivery event. A singleton frame is
    exactly the seed's per-message [enqueue] (with the default zero
@@ -230,25 +258,7 @@ let enqueue t ~src ~dst ~count ~bytes msgs =
            spans = List.map snd msgs;
          }));
   Engine.schedule_at t.engine ~time:arrival (fun () ->
-      if t.crashed.(dst) || t.offline.(dst) then begin
-        t.metrics.Metrics.messages_dropped <-
-          t.metrics.Metrics.messages_dropped + count;
-        (match journal_of t with
-        | None -> ()
-        | Some j ->
-          Obs.Journal.record j (Obs.Journal.Drop { pid = dst; count; time = arrival }));
-        match t.obs with
-        | None -> ()
-        | Some no -> Obs.Registry.inc ~by:count no.dropped.(dst)
-      end
-      else begin
-        (match journal_of t with
-        | None -> ()
-        | Some j ->
-          Obs.Journal.record j
-            (Obs.Journal.Deliver { src; dst; count; time = arrival }));
-        deliver_frame t ~src ~dst ~sent:now ~arrival msgs
-      end)
+      arrive t ~src ~dst ~count ~sent:now ~arrival msgs)
 
 let drop_from_src t ~src count =
   t.metrics.Metrics.messages_dropped <-
@@ -305,18 +315,41 @@ let broadcast_stamped_batch t ~src msgs =
 
 let broadcast_batch t ~src msgs = broadcast_stamped_batch t ~src (stamp t msgs)
 
-let crash t pid = t.crashed.(pid) <- true
+(* Hand held frames to [arrive] now, in send order: delivered to a
+   process that rejoined, dropped at one that crashed. *)
+let release t pid frames =
+  let now = Engine.now t.engine in
+  List.stable_sort (fun (_, _, a, _) (_, _, b, _) -> Float.compare a b) (List.rev frames)
+  |> List.iter (fun (src, count, sent, msgs) ->
+         arrive t ~src ~dst:pid ~count ~sent ~arrival:now msgs)
+
+let crash t pid =
+  t.crashed.(pid) <- true;
+  let frames = Option.value t.held.(pid) ~default:[] in
+  t.held.(pid) <- None;
+  release t pid frames
 
 let is_crashed t pid = t.crashed.(pid)
 
-(* Churn: an offline replica behaves like a crashed one on the wire
-   (frames to and from it are dropped) but can come back. In-flight
-   frames scheduled before the detach are judged at delivery time, so
-   a frame that arrives during the offline window is lost — exactly
-   the semantics a rejoiner must repair via catch-up. *)
-let detach t pid = t.offline.(pid) <- true
+(* Churn. A process that leaves keeps its state, and the frames that
+   reach it while it is away are held and delivered, in send order,
+   when it rejoins: the paper's channels between correct processes are
+   reliable, and a temporary absence must not break that. A process
+   that has not joined yet has no state to deliver into, so frames to
+   it drop, as frames to a crashed one do. *)
+let detach t pid =
+  t.offline.(pid) <- true;
+  if t.held.(pid) = None then t.held.(pid) <- Some []
 
-let attach t pid = t.offline.(pid) <- false
+let absent t pid = t.offline.(pid) <- true
+
+let attach t pid =
+  t.offline.(pid) <- false;
+  let frames = Option.value t.held.(pid) ~default:[] in
+  t.held.(pid) <- None;
+  if frames <> [] then
+    Engine.schedule_at t.engine ~time:(Engine.now t.engine) (fun () ->
+        release t pid frames)
 
 let is_offline t pid = t.offline.(pid)
 

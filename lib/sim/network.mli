@@ -8,7 +8,8 @@
     partitions hold cross-group traffic back until they heal (messages
     are never lost — reliability — only arbitrarily delayed); messages
     to or from crashed processes are dropped, which is harmless since a
-    crashed process by definition sends and observes nothing further. *)
+    crashed process by definition sends and observes nothing further.
+    Messages to a process that has left are held until it rejoins. *)
 
 type delay_model =
   | Constant of float
@@ -26,11 +27,12 @@ type partition = {
 }
 
 (** Dynamic membership. A [Leave] detaches a replica from the wire
-    (frames to and from it are dropped, like a crash) without losing
-    its state; a [Rejoin] re-attaches it, after which the runner
-    repairs the gap by catch-up from a live peer's {!Persist} snapshot.
+    without losing its state: it sends nothing, and the frames that
+    reach it are held until a [Rejoin] re-attaches it, after which the
+    runner also catches it up from a live peer's {!Persist} snapshot.
     A [Join] brings up a replica that was absent from the start (its
-    pid must still be within [n]; it holds no state until it joins). *)
+    pid must still be within [n]; it holds no state until it joins, and
+    frames to it drop until then). *)
 type churn_action = Join | Leave | Rejoin
 
 type churn_event = { time : float; pid : int; action : churn_action }
@@ -112,18 +114,24 @@ val ambient : 'msg t -> Obs.Span.id option
     telemetry is off or no span is active). *)
 
 val crash : 'msg t -> int -> unit
-(** Mark a process crashed: it no longer sends or receives. *)
+(** Mark a process crashed: it no longer sends or receives, and frames
+    held for it while it had left are dropped. *)
 
 val is_crashed : 'msg t -> int -> bool
 
 val detach : 'msg t -> int -> unit
-(** Take a process offline (churn leave): frames to and from it are
-    dropped until {!attach}. Unlike {!crash} this is reversible, and
-    unlike a partition it loses frames rather than delaying them —
-    the gap must be repaired by catch-up on rejoin. *)
+(** Take a process offline (churn leave): frames from it are dropped,
+    and frames to it are kept until {!attach} delivers them in send
+    order. Unlike {!crash} this is reversible; like a partition it
+    delays frames rather than losing them. *)
+
+val absent : 'msg t -> int -> unit
+(** Take a process that has not joined yet offline: frames to and from
+    it are dropped until {!attach}. *)
 
 val attach : 'msg t -> int -> unit
-(** Bring an offline process back onto the wire. *)
+(** Bring an offline process back onto the wire; the frames held for it
+    since it left are delivered, in send order, at the current time. *)
 
 val is_offline : 'msg t -> int -> bool
 

@@ -16,9 +16,9 @@
    So however the OS schedules the domains, once every mailbox is
    drained all replicas must hold the same timestamp-sorted log, and
    that log replayed sequentially must equal a sequential fold of the
-   same update multiset. The engine enforces the first property
-   (convergence of outputs and certificates) itself; the analysis layer
-   pins the second against the sequential cores.
+   same update multiset. The engine only reports what ran; the
+   analysis layer ([Throughput]) judges both properties against the
+   sequential cores.
 
    Domain-safety inventory (the audit the multicore port forced):
    - [Prng]: each domain's client draws from its own [Prng.fork]ed
@@ -97,9 +97,6 @@ module Make (P : Protocol.PROTOCOL) = struct
     query_outputs : P.output list array;
         (* per-domain non-ω query answers in issue order; captured only
            when a recorder is attached (empty lists otherwise) *)
-    outputs_agree : bool;
-    certificates_agree : bool;
-    log_lengths : int array;
     wall_seconds : float;  (* max domain end - min domain start *)
     ops_total : int;
     updates_total : int;
@@ -474,19 +471,6 @@ module Make (P : Protocol.PROTOCOL) = struct
       |> List.mapi (fun pid o -> Option.map (fun o -> (pid, o)) o)
       |> List.filter_map Fun.id
     in
-    let outputs_agree =
-      match outputs with
-      | [] -> true
-      | (_, first) :: rest ->
-        List.for_all (fun (_, o) -> P.equal_output first o) rest
-    in
-    let certificates_agree =
-      match Array.to_list replicas with
-      | [] -> true
-      | r0 :: rest ->
-        let c0 = P.certificate r0 in
-        List.for_all (fun r -> P.certificate r = c0) rest
-    in
     let starts = Array.map fst spans and ends = Array.map snd spans in
     let wall =
       Array.fold_left Float.max neg_infinity ends
@@ -510,9 +494,6 @@ module Make (P : Protocol.PROTOCOL) = struct
       replicas;
       outputs;
       query_outputs = q_outputs;
-      outputs_agree;
-      certificates_agree;
-      log_lengths = Array.map (fun r -> P.log_length r) replicas;
       wall_seconds = wall;
       ops_total;
       updates_total;

@@ -12,10 +12,11 @@
     into the protocol's [receive_batch], and both busy-wait loops pace
     themselves with spin-then-park backoff ({!Mpsc.Backoff}). At the
     end of the scripts the engine drains every mailbox to quiescence,
-    has every replica answer an optional ω read, and reports
-    convergence (outputs and update certificates) together with
-    wall-clock throughput and per-invocation latencies (nanosecond
-    monotonic stamps, reported in seconds).
+    has every replica answer an optional ω read, and reports the
+    replicas and their answers together with wall-clock throughput and
+    per-invocation latencies (nanosecond monotonic stamps, reported in
+    seconds). It judges nothing itself: convergence is the
+    differential's verdict.
 
     Proposition 4 is what makes the result checkable: under strong
     update consistency the final state depends only on the timestamp
@@ -97,9 +98,6 @@ module Make (P : Protocol.PROTOCOL) : sig
         (** per-domain non-ω query answers in issue order, captured only
             when a recorder is attached (empty lists otherwise) — what
             the replay bridge compares recorded outputs against *)
-    outputs_agree : bool;
-    certificates_agree : bool;
-    log_lengths : int array;
     wall_seconds : float;  (** max domain end − min domain start *)
     ops_total : int;
     updates_total : int;

@@ -191,7 +191,7 @@ module Make (P : Protocol.PROTOCOL) = struct
         if absent then begin
           offline.(pid) <- true;
           ever_offline.(pid) <- true;
-          Network.detach network pid
+          Network.absent network pid
         end)
       starts_absent;
     (* Journal plumbing: event indices are journal positions when a

@@ -456,9 +456,9 @@ let churn_pin_tests =
         Alcotest.(check string) "sha256" digest (churn_sha ~seed ~n ~ops))
   in
   [
-    pin "pinned churn journal: seed 1 n 3 ops 5" ~seed:1 ~n:3 ~ops:5 "2c7a54e11278b12325f6bc6a8e03f5e2cfcfda1a13ae2d455d74891e7c4f7d5f";
-    pin "pinned churn journal: seed 8 n 4 ops 6" ~seed:8 ~n:4 ~ops:6 "31e05b30d7ccf3759dd39cbc2f156e272fd5aebbd1ed27e29e270877743540ac";
-    pin "pinned churn journal: seed 23 n 4 ops 4" ~seed:23 ~n:4 ~ops:4 "da77997c8fded5f80a660e6c394f6e48bcd9a4f8dc69b7fa5e61c0db17be1d6e";
+    pin "pinned churn journal: seed 1 n 3 ops 5" ~seed:1 ~n:3 ~ops:5 "c1dc71c43fa63ac4aac0751b9a3c251c35cc12b711bd820a4aa326d2bc2a720f";
+    pin "pinned churn journal: seed 8 n 4 ops 6" ~seed:8 ~n:4 ~ops:6 "e0202b0756020a693b9a24c68586dcdbc6e334829cee9d5ab56450fce6ef8987";
+    pin "pinned churn journal: seed 23 n 4 ops 4" ~seed:23 ~n:4 ~ops:4 "6d8c1f8a92c438fe58c9e1a62c0adcca9f5f04006019131994fed4b095b41999";
   ]
 
 (* Sharded-run byte pins: the same complete-journal digest for the

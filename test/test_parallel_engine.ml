@@ -23,7 +23,8 @@ let counter_differential () =
       (* Commutative: the full sequential Runner replay must have run
          and agreed, not been skipped. *)
       Alcotest.(check (option bool))
-        "runner differential ran" (Some true) v.T_counter.runner_matches)
+        "runner differential ran" (Some true)
+        (List.assoc_opt "sequential runner" v.T_counter.clauses))
     [ (1, 3); (2, 3); (2, 17); (3, 5); (4, 11) ]
 
 let set_differential () =
@@ -37,7 +38,8 @@ let set_differential () =
         (Printf.sprintf "set d=%d seed=%d" domains seed)
         true (T_set.ok v);
       Alcotest.(check (option bool))
-        "non-commutative: no runner leg" None v.T_set.runner_matches)
+        "non-commutative: no runner leg" None
+        (List.assoc_opt "sequential runner" v.T_set.clauses))
     [ (1, 1); (2, 1); (3, 9) ]
 
 let gset_differential () =
@@ -188,7 +190,8 @@ let record_replay_differential () =
       Alcotest.(check bool) (label "differential ok") true (T_counter.ok v);
       Alcotest.(check (option bool))
         (label "journal replay verdict")
-        (Some true) v.T_counter.journal_replay;
+        (Some true)
+        (List.assoc_opt "journal replay" v.T_counter.clauses);
       match v.T_counter.recording with
       | None -> Alcotest.fail (label "recorder attached but no recording")
       | Some r ->
@@ -248,7 +251,8 @@ let record_replay_backpressure () =
   in
   Alcotest.(check bool) "differential ok under backpressure" true (T_set.ok v);
   Alcotest.(check (option bool))
-    "backpressured run replays" (Some true) v.T_set.journal_replay;
+    "backpressured run replays" (Some true)
+    (List.assoc_opt "journal replay" v.T_set.clauses);
   let stalls =
     Array.fold_left
       (fun acc r -> acc + r.Parallel_engine.mailbox_stalls)
@@ -281,7 +285,8 @@ let record_replay_batched () =
   in
   Alcotest.(check bool) "batched recording ok" true (T_set.ok v);
   Alcotest.(check (option bool))
-    "batched run replays" (Some true) v.T_set.journal_replay
+    "batched run replays" (Some true)
+    (List.assoc_opt "journal replay" v.T_set.clauses)
 
 (* The flush window bounds buffer residency when the batch threshold is
    too high to ever trip: with batch_every far above the op count, the
@@ -318,6 +323,32 @@ let rejects_bad_config () =
       in
       ignore (T_set.E.run cfg ~workload:scripts))
 
+(* The differential must say no, and say which clause: replica 1 is
+   restored from replica 0's converged log minus one entry, so only the
+   log agreement clause can fail. *)
+let differential_rejects_a_short_log () =
+  let domains = 2 in
+  let scripts =
+    T_counter.uniform_scripts ~seed:3 ~domains ~ops:40 ~query_ratio:0.0
+  in
+  let final_read = Counter_spec.Value in
+  let v = T_counter.measure ~domains ~final_read ~scripts () in
+  Alcotest.(check bool) "the honest run passes" true (T_counter.ok v);
+  let run = v.T_counter.run in
+  let r0 = run.T_counter.E.replicas.(0) in
+  let short = T_counter.G.create (Throughput.dummy_ctx ~pid:1 ~n:domains) in
+  T_counter.G.restore_log short (List.tl (T_counter.G.local_log r0));
+  let w =
+    T_counter.judge ~final_read ~scripts
+      { run with T_counter.E.replicas = [| r0; short |] }
+  in
+  Alcotest.(check bool) "verdict" false (T_counter.ok w);
+  Alcotest.(check (list string))
+    "failing clauses" [ "logs agree" ]
+    (List.filter_map
+       (fun (name, holds) -> if holds then None else Some name)
+       w.T_counter.clauses)
+
 let tests =
   [
     Alcotest.test_case "counter differential (incl. sequential Runner)" `Quick
@@ -343,4 +374,6 @@ let tests =
     Alcotest.test_case "flush window coalesces and converges" `Quick
       flush_window_differential;
     Alcotest.test_case "malformed configs rejected" `Quick rejects_bad_config;
+    Alcotest.test_case "a replica one entry short fails log agreement" `Quick
+      differential_rejects_a_short_log;
   ]

@@ -221,7 +221,7 @@ let pinned =
         ~monitors:Obs.Monitor.[ Uc; Ec ]
         ~churn:[ churn 20.0 Join 3; churn 30.0 Leave 2; churn 60.0 Rejoin 2 ]
         ~partitions:[ part 40.0 80.0 [ 1 ] ],
-      "77adcca62ecabf8eb32d34bfb8a87de6cf3b5fa2f64cb147f61b4128a7f40bd7" );
+      "29ab690ef101a5bfbbc83b597597182e79609aefa9383f28b3ab7eeeb9f9e69d" );
     ( "pipelined n3 seed1",
       sim "pipelined" ~n:3 ~ops:4 ~seed:1 ~monitors:pc,
       "f8b8b1a0b7596312eee0fd21e7830ad8e015f4fb626ac6b509a039816aa4057a" );

@@ -19,7 +19,7 @@
      (golden). *)
 
 module S = Space.Make (Set_spec) (Update_codec.For_set)
-module B = Throughput.Sharded (Set_spec) (Update_codec.For_set)
+module B = Throughput.Space_bench (Set_spec) (Update_codec.For_set)
 module R = Runner.Make (S)
 
 (* ------------------------- workload plumbing ------------------------- *)
@@ -326,6 +326,38 @@ let registry_golden =
            ])
         rendered)
 
+(* The sharded view must reject too: replica 1 absorbs replica 0's
+   whole-space snapshot and then takes one local keyed update, so its
+   shard logs hold one entry more and only log agreement fails. *)
+let differential_rejects_an_extra_entry =
+  Alcotest.test_case "a replica one entry long fails per-shard log agreement"
+    `Quick (fun () ->
+      let domains = 2 in
+      let scripts =
+        B.zipf_scripts ~seed:5 ~domains ~ops:60 ~keys:32 ~skew:1.1 ~fanout:2
+          ~query_ratio:0.0
+      in
+      let v = B.measure ~shards:2 ~domains ~scripts () in
+      Alcotest.(check bool) "the honest run passes" true (B.ok v);
+      let run = v.B.run in
+      let r0 = run.B.E.replicas.(0) in
+      let long = B.S.create (Throughput.dummy_ctx ~pid:1 ~n:domains) in
+      (match B.S.snapshot r0 with
+      | Some frame ->
+        Alcotest.(check bool) "absorbed" true (B.S.absorb long frame)
+      | None -> Alcotest.fail "the space has no snapshot");
+      B.S.update long [ (0, Set_spec.Insert 99) ] ~on_done:ignore;
+      let w =
+        B.judge ~final_read:B.S.K.Sweep ~scripts
+          { run with B.E.replicas = [| r0; long |] }
+      in
+      Alcotest.(check bool) "verdict" false (B.ok w);
+      Alcotest.(check (list string))
+        "failing clauses" [ "logs agree" ]
+        (List.filter_map
+           (fun (name, holds) -> if holds then None else Some name)
+           w.B.clauses))
+
 let tests =
   differential_tests @ rebalance_tests @ migration_tests @ journal_tests
-  @ [ registry_golden ]
+  @ [ registry_golden; differential_rejects_an_extra_entry ]
